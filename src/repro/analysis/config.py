@@ -11,8 +11,8 @@ user overrides from ``pyproject.toml``::
 
     [[tool.repro-lint.allow]]
     rule = "layering/import-dag"
-    path = "src/repro/ml/calibration.py"
-    reason = "compat shim kept for the public repro.ml.calibration import path"
+    path = "src/repro/eval/legacy.py"
+    reason = "re-export kept for an old import path"
 
 Allowlist entries require a non-empty ``reason`` — an unjustified
 exemption is itself a config error.
@@ -27,12 +27,11 @@ from repro.analysis.findings import Severity
 
 #: Layering ranks: an import must go strictly downward (importer rank >
 #: imported rank). The DAG, bottom-up:
-#: ``reldb -> strings/paths -> config -> data -> similarity -> cluster/ml
+#: ``reldb -> paths -> config -> data -> similarity -> cluster/ml
 #: -> core -> graph -> eval -> ingest -> analysis -> cli -> repro``
 #: (package root).
 DEFAULT_LAYER_RANKS: dict[str, int] = {
     "reldb": 10,
-    "strings": 20,
     "paths": 20,
     "config": 25,
     "data": 28,
@@ -82,11 +81,6 @@ DEFAULT_CONFIG_FLAG_MAP: dict[str, str] = {
     "n_negative": "--negative",
     "svm_C": "--svm-c",
     "min_sim": "--min-sim",
-    "similarity_backend": "--backend",
-    "propagation_backend": "--propagation",
-    "pair_pruning": "--pair-pruning",
-    "minhash_bands": "--minhash-bands",
-    "minhash_rows": "--minhash-rows",
     "shared_memory": "--shared-memory",
     "shard_strategy": "--shard-strategy",
     "degradation": "--degradation",
@@ -228,9 +222,6 @@ DEFAULT_CONFIG_PROGRAMMATIC: tuple[str, ...] = (
     "svm_retries",
     "clamp_negative_weights",
     "normalize_weights",
-    "similarity_chunk_bytes",
-    "similarity_pair_chunk",
-    "walk_dense_limit",
     "propagation_memo_size",
     "seed",
 )

@@ -142,56 +142,15 @@ def _add_resilience_options(p: argparse.ArgumentParser) -> None:
 
 
 def _add_perf_options(p: argparse.ArgumentParser, workers: bool = False) -> None:
-    """Flags for the performance knobs (similarity backend, process pool)."""
+    """Flags for the performance knobs (degradation ladder, process pool)."""
     group = p.add_argument_group("performance")
-    group.add_argument(
-        "--backend",
-        choices=("scalar", "vectorized"),
-        default=None,
-        help="similarity kernel backend (default: the config's, scalar); "
-             "vectorized computes all pairs with chunked matrix kernels",
-    )
-    group.add_argument(
-        "--propagation",
-        choices=("scalar", "batched"),
-        default=None,
-        help="propagation backend (default: the config's, scalar); batched "
-             "propagates all references of a name at once as sparse matrix "
-             "products (implies the matrix similarity kernels)",
-    )
-    group.add_argument(
-        "--pair-pruning",
-        nargs="?",
-        const="exact",
-        choices=("off", "exact", "minhash"),
-        default=None,
-        help="candidate blocking mode (default: the config's, off). exact "
-             "skips pairs with disjoint neighbor supports on every path "
-             "(lossless; bare --pair-pruning means exact); minhash narrows "
-             "to banded-LSH candidates first and exact-rechecks survivors",
-    )
-    group.add_argument(
-        "--minhash-bands",
-        type=int,
-        default=None,
-        metavar="B",
-        help="LSH bands for --pair-pruning minhash (default: the config's, 32)",
-    )
-    group.add_argument(
-        "--minhash-rows",
-        type=int,
-        default=None,
-        metavar="R",
-        help="rows per LSH band for --pair-pruning minhash "
-             "(default: the config's, 2)",
-    )
     group.add_argument(
         "--degradation",
         choices=("strict", "fallback"),
         default=None,
-        help="what to do when a fast backend fails at runtime (default: the "
-             "config's, strict); fallback recomputes the failed batch on the "
-             "scalar reference path instead of failing the run",
+        help="what to do when the fast pair-feature route fails at runtime "
+             "(default: the config's, strict); fallback recomputes the failed "
+             "batch on the per-reference route instead of failing the run",
     )
     if workers:
         group.add_argument(
@@ -605,16 +564,6 @@ def _apply_perf_overrides(config: DistinctConfig, args) -> DistinctConfig:
     Uses ``getattr`` defaults because not every subcommand carries every
     perf flag (e.g. the pool flags exist only where ``--workers`` does).
     """
-    if getattr(args, "backend", None):
-        config = config.with_options(similarity_backend=args.backend)
-    if getattr(args, "propagation", None):
-        config = config.with_options(propagation_backend=args.propagation)
-    if getattr(args, "pair_pruning", None) is not None:
-        config = config.with_options(pair_pruning=args.pair_pruning)
-    if getattr(args, "minhash_bands", None) is not None:
-        config = config.with_options(minhash_bands=args.minhash_bands)
-    if getattr(args, "minhash_rows", None) is not None:
-        config = config.with_options(minhash_rows=args.minhash_rows)
     if getattr(args, "shared_memory", None):
         config = config.with_options(shared_memory=True)
     if getattr(args, "shard_strategy", None):
@@ -1073,7 +1022,10 @@ def main(argv: list[str] | None = None) -> int:
 
         sampler = ResourceSampler(interval=sample_interval).start()
     try:
-        with span(args.command):
+        # ``cli.<command>``, not the bare command: the pipeline opens its
+        # own ``fit``/``resolve`` spans, and a root of the same name would
+        # be counted twice in ``repro report`` totals.
+        with span(f"cli.{args.command}"):
             return args.func(args)
     finally:
         if sampler is not None:

@@ -99,52 +99,12 @@ class DistinctConfig:
     # clustering
     min_sim: float = 0.006
 
-    # performance (see docs/performance.md).
-    # ``similarity_backend`` routes pair-feature computation through either
-    # the scalar per-pair kernels (the reference implementation) or the
-    # vectorized sparse-matrix kernels in :mod:`repro.similarity.vectorized`.
-    # The two agree to floating-point reassociation tolerance; scalar stays
-    # the default so results are bit-stable against the seed corpus.
-    similarity_backend: str = "scalar"
-    # Byte budget for one dense row-chunk block of the vectorized
-    # resemblance kernel (bounds peak memory, not correctness).
-    similarity_chunk_bytes: int = 64 * 1024 * 1024
-    # Pair-list kernels process pairs in slices of this many rows.
-    similarity_pair_chunk: int = 8192
-    # ``pairwise_walk_matrix`` keeps its result sparse above this many
-    # output entries (n_refs**2) instead of densifying.
-    walk_dense_limit: int = 4096 * 4096
+    # performance (see docs/performance.md). Pair features always run
+    # batched propagation, exact blocking and the matrix pair kernels
+    # (:mod:`repro.core.features`); only the fanout memo is tunable.
     # LRU bound on the per-name join-fanout memo used by propagation
     # (entries; 0 disables the memo).
     propagation_memo_size: int = 65536
-    # ``propagation_backend`` selects how neighbor profiles are computed:
-    # ``"scalar"`` walks one reference at a time (the reference
-    # implementation); ``"batched"`` propagates all references of a name
-    # at once as sparse matrix products (:mod:`repro.paths.batch`), which
-    # implies the matrix similarity kernels regardless of
-    # ``similarity_backend``. Equal to within floating-point
-    # reassociation tolerance (property-tested at 1e-12).
-    propagation_backend: str = "scalar"
-    # Candidate blocking mode: ``"off"`` evaluates every pair;
-    # ``"exact"`` skips pairs whose neighbor supports are disjoint on
-    # every path (:mod:`repro.perf.blocking` — lossless: both measures
-    # are exactly zero there, so clustering output is unchanged);
-    # ``"minhash"`` first narrows to banded-MinHash candidates
-    # (:mod:`repro.perf.minhash`, tuned by ``minhash_bands`` /
-    # ``minhash_rows``) and exact-rechecks the survivors — probabilistic
-    # blocking with a measured recall knob; at the defaults the
-    # clustering output matches exact pruning on every tested world.
-    # Booleans are accepted for back-compat (False -> "off",
-    # True -> "exact").
-    pair_pruning: bool | str = False
-    # Banding of the MinHash signatures behind ``pair_pruning="minhash"``:
-    # a pair with support-set Jaccard J becomes a candidate with
-    # probability 1 - (1 - J**minhash_rows)**minhash_bands. The defaults
-    # (32 bands x 2 rows) keep same-object pairs (J >= 0.5, miss
-    # < 1e-4) while dropping ambient-overlap pairs (J ~ 0.02) ~99% of
-    # the time; signatures are seeded by ``seed``.
-    minhash_bands: int = 32
-    minhash_rows: int = 2
     # Dispatch the fork-primed worker payload through one shared-memory
     # segment mapped read-only by every worker
     # (:class:`repro.perf.shm.SharedPayload`) instead of relying on
@@ -157,14 +117,13 @@ class DistinctConfig:
     # per name) heaviest-first so idle workers steal the expensive
     # stragglers early. Results are byte-identical either way.
     shard_strategy: str = "static"
-    # What to do when a fast backend (vectorized kernels, batched
-    # propagation, pair pruning) fails at runtime — e.g. a MemoryError on
-    # an oversized name or a SciPy sparse failure. ``"strict"`` (default)
-    # propagates the error; ``"fallback"`` recomputes that batch on the
-    # scalar reference path instead, so the run degrades to
-    # slower-but-correct rather than failing. Fallbacks are counted
-    # (``resilience.degraded.*``) and annotated on the similarity span,
-    # never silent.
+    # What to do when the fast pair-feature route fails at runtime — e.g.
+    # a MemoryError on an oversized name or a SciPy sparse failure.
+    # ``"strict"`` (default) propagates the error; ``"fallback"``
+    # recomputes that batch on the per-reference reference route instead,
+    # so the run degrades to slower-but-correct rather than failing.
+    # Fallbacks are counted (``resilience.degraded.*``) and annotated on
+    # the similarity span, never silent.
     degradation: str = "strict"
 
     # determinism

@@ -24,7 +24,6 @@ from repro.config import DistinctConfig
 from repro.core.features import (
     PairFeatures,
     all_pairs,
-    coerce_pruning,
     compute_pair_features,
     pair_matrix,
 )
@@ -197,7 +196,12 @@ class Distinct:
 
     def _training_features(self, training_set: TrainingSet) -> PairFeatures:
         """Features for training pairs, routing each reference through the
-        profile builder of its own name (same exclusions as at resolve time)."""
+        profile builder of its own name (same exclusions as at resolve time).
+
+        The pairs span hundreds of rare names with a few references each,
+        so they take the per-reference route: batching them name by name
+        measured slower than walking each reference once.
+        """
         assert self.db is not None and self.paths_ is not None
         builders: dict[str, ProfileBuilder] = {}
 
@@ -217,16 +221,7 @@ class Distinct:
             router.route[pair.row_b] = builder_for(pair.name_b)
         pairs = [(p.row_a, p.row_b) for p in training_set.pairs]
         return compute_pair_features(
-            router,
-            pairs,
-            backend=self.config.similarity_backend,
-            pair_chunk=self.config.similarity_pair_chunk,
-            propagation=self.config.propagation_backend,
-            prune=self.config.pair_pruning,
-            degradation=self.config.degradation,
-            minhash_bands=self.config.minhash_bands,
-            minhash_rows=self.config.minhash_rows,
-            minhash_seed=self.config.seed,
+            router, pairs, degradation=self.config.degradation
         )
 
     def _train_measure(
@@ -333,33 +328,10 @@ class Distinct:
                 exclusions_for_name(self.db, name, self.config),
                 memo_size=self.config.propagation_memo_size,
             )
-            if self.config.propagation_backend == "scalar":
-                # Batched propagation computes all references at once inside
-                # compute_pair_features; warming the per-reference cache
-                # would propagate everything a second time.
-                with span("resolve.profiles", name=name, n_refs=len(refs.rows)) as sp:
-                    builder.warm(refs.rows)
-                    sp.annotate(n_profiles=builder.cache_size)
             pairs = all_pairs(refs.rows)
-            with span(
-                "resolve.similarity",
-                name=name,
-                n_pairs=len(pairs),
-                backend=self.config.similarity_backend,
-                propagation=self.config.propagation_backend,
-                prune=coerce_pruning(self.config.pair_pruning),
-            ) as sim_span:
+            with span("resolve.similarity", name=name, n_pairs=len(pairs)) as sim_span:
                 features = compute_pair_features(
-                    builder,
-                    pairs,
-                    backend=self.config.similarity_backend,
-                    pair_chunk=self.config.similarity_pair_chunk,
-                    propagation=self.config.propagation_backend,
-                    prune=self.config.pair_pruning,
-                    degradation=self.config.degradation,
-                    minhash_bands=self.config.minhash_bands,
-                    minhash_rows=self.config.minhash_rows,
-                    minhash_seed=self.config.seed,
+                    builder, pairs, degradation=self.config.degradation
                 )
                 if features.degraded:
                     sim_span.annotate(degraded=True)
@@ -459,7 +431,11 @@ class NamePreparation:
 
 
 class _RoutedProfiles:
-    """ProfileBuilder-compatible view routing each row to its name's builder."""
+    """Routes each row's profiles to its own name's builder.
+
+    Not a :class:`ProfileBuilder`, so :func:`compute_pair_features`
+    scores it on the per-reference route.
+    """
 
     def __init__(self, paths: list[JoinPath], route: dict[int, ProfileBuilder]) -> None:
         self.paths = paths
@@ -467,21 +443,3 @@ class _RoutedProfiles:
 
     def profiles_for(self, row: int):
         return self.route[row].profiles_for(row)
-
-    def matrices_for(self, rows: list[int]):
-        """Batched matrices across builders: one batch per builder, merged.
-
-        Each name's references propagate under that name's exclusions, so
-        the batch splits along the route; all builders share one database,
-        so the per-path matrices have identical column spaces and stack.
-        """
-        from repro.paths.batch import merge_batched
-
-        groups: dict[ProfileBuilder, list[int]] = {}
-        for row in rows:
-            groups.setdefault(self.route[row], []).append(row)
-        batched = [
-            builder.matrices_for(group_rows)
-            for builder, group_rows in groups.items()
-        ]
-        return merge_batched(list(rows), batched)

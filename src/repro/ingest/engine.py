@@ -23,7 +23,7 @@ ladder instead of recomputing the world:
    .touched_row_mask`) or it is new; clean references provably kept
    their exact profiles;
 3. **dirty pairs** — only pairs touching a dirty or new reference are
-   re-evaluated (through the *configured* backends, so the recomputed
+   re-evaluated (through the same route as a cold run, so the recomputed
    values are bit-identical to a cold run's); clean pair values are
    scattered from the previous feature arrays;
 4. **dirty merges** — :func:`repro.cluster.recluster_incremental`
@@ -32,8 +32,8 @@ ladder instead of recomputing the world:
 
 Every rung preserves bytes, so ``ingest()`` produces resolutions equal
 to a cold ``prepare``/``cluster_prepared`` on the post-delta database —
-the property suite asserts full equality across backends, pruning
-modes, and worker counts.
+the property suite asserts full equality, serial and across worker
+counts.
 
 With ``workers > 1`` the per-name refresh fans out over the
 fork-primed process pool (:func:`repro.perf.ordered_process_map`): the
@@ -253,8 +253,7 @@ class IngestEngine:
                 None, resolution, {},
             )
         traces: dict[str, sparse.csr_matrix] = {}
-        # The trace pass doubles as the transition-cache warm-up; with
-        # scalar propagation it is extra work that never feeds values.
+        # The trace pass doubles as the transition-cache warm-up.
         batch_profile_matrices(
             builder.engine,
             distinct.paths_,
@@ -262,7 +261,7 @@ class IngestEngine:
             cache=builder.transition_cache,
             trace=traces,
         )
-        features = self._compute_features(builder, refs.rows, all_pairs(refs.rows))
+        features = self._compute_features(builder, all_pairs(refs.rows))
         prep = NamePreparation(name=name, rows=list(refs.rows), features=features)
         resolution = distinct.cluster_prepared(
             prep, self.min_sim, self.measure, self.supervised
@@ -273,27 +272,12 @@ class IngestEngine:
         )
 
     def _compute_features(
-        self,
-        builder: ProfileBuilder,
-        rows: list[int],
-        pairs: list[tuple[int, int]],
+        self, builder: ProfileBuilder, pairs: list[tuple[int, int]]
     ) -> PairFeatures:
-        """Pair features through the configured backends — the exact code
-        path :meth:`Distinct.prepare` takes, so values are bit-identical."""
-        config = self.distinct.config
-        if config.propagation_backend == "scalar":
-            builder.warm(rows)
+        """Pair features through the route :meth:`Distinct.prepare` takes,
+        so values are bit-identical to a cold run's."""
         return compute_pair_features(
-            builder,
-            pairs,
-            backend=config.similarity_backend,
-            pair_chunk=config.similarity_pair_chunk,
-            propagation=config.propagation_backend,
-            prune=config.pair_pruning,
-            degradation=config.degradation,
-            minhash_bands=config.minhash_bands,
-            minhash_rows=config.minhash_rows,
-            minhash_seed=config.seed,
+            builder, pairs, degradation=self.distinct.config.degradation
         )
 
     # -- delta application -------------------------------------------------
@@ -538,7 +522,7 @@ class IngestEngine:
             reused += 1
         if recompute:
             sub = self._compute_features(
-                builder, dirty_origins, [pairs_new[k] for k in recompute]
+                builder, [pairs_new[k] for k in recompute]
             )
             idx = np.asarray(recompute, dtype=np.int64)
             resem[idx] = sub.resemblance
@@ -581,7 +565,7 @@ class IngestEngine:
             cache=builder.transition_cache,
             trace=traces,
         )
-        features = self._compute_features(builder, rows_new, all_pairs(rows_new))
+        features = self._compute_features(builder, all_pairs(rows_new))
         prep = NamePreparation(name=state.name, rows=rows_new, features=features)
         resolution = distinct.cluster_prepared(
             prep, self.min_sim, self.measure, self.supervised

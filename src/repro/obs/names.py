@@ -20,9 +20,6 @@ from __future__ import annotations
 __all__ = ["REGISTERED_METRICS"]
 
 REGISTERED_METRICS: dict[str, str] = {
-    # MinHash/LSH candidate blocking (repro.perf.minhash)
-    "blocking.minhash.candidates": "counter",
-    "blocking.minhash.rechecked": "counter",
     # zero-overlap pair pruning (repro.perf.blocking)
     "blocking.pairs_kept": "counter",
     "blocking.pairs_pruned": "counter",

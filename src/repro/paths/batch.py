@@ -60,7 +60,7 @@ from repro.paths.propagation import PropagationEngine, _EMPTY_SET
 from repro.paths.trie import _TrieNode, _build_trie
 from repro.perf.transitions import Transition, TransitionCache
 
-__all__ = ["BatchedProfiles", "batch_profile_matrices", "merge_batched"]
+__all__ = ["BatchedProfiles", "batch_profile_matrices"]
 
 #: Work accounting for the batched backend. ``tuples`` counts nonzeros
 #: materialized per level (the batched analogue of
@@ -80,11 +80,9 @@ class BatchedProfiles:
     ``forward[k, t]`` is ``Prob_P(r_k -> t)`` and ``backward[k, t]`` is
     ``Prob_P(t -> r_k)`` for ``rows[k]``'s reference; columns span the
     *full* end relation (row id == column id), and the backward pattern
-    is a subset of the forward pattern — the same contract as stacking
-    :class:`~repro.paths.profiles.NeighborProfile` objects through
-    :func:`repro.similarity.vectorized.profile_matrices`, up to the
-    wider (but value-identical) column space, which the pair kernels
-    never depend on.
+    is a subset of the forward pattern. Row ``k`` holds the same values
+    as the :class:`~repro.paths.profiles.NeighborProfile` of ``rows[k]``
+    (see :meth:`weights_for`).
     """
 
     path: JoinPath
@@ -477,34 +475,3 @@ def batch_profile_matrices(
 
     visit(root, initial, initial.copy(), 0)
     return results
-
-
-def merge_batched(
-    rows: list[int], groups: list[dict[JoinPath, BatchedProfiles]]
-) -> dict[JoinPath, BatchedProfiles]:
-    """Stack per-group batched matrices back into one batch over ``rows``.
-
-    ``groups`` hold disjoint subsets of ``rows`` (e.g. one batch per
-    ambiguous name when training pairs span names); all groups must come
-    from the same database so the per-path column spaces line up.
-    """
-    position = {row: k for k, row in enumerate(rows)}
-    merged: dict[JoinPath, BatchedProfiles] = {}
-    for path in groups[0]:
-        order = [row for group in groups for row in group[path].rows]
-        inverse = np.empty(len(rows), dtype=np.int64)
-        for j, row in enumerate(order):
-            inverse[position[row]] = j
-        forward = sparse.vstack(
-            [group[path].forward for group in groups], format="csr"
-        )[inverse]
-        backward = sparse.vstack(
-            [group[path].backward for group in groups], format="csr"
-        )[inverse]
-        merged[path] = BatchedProfiles(
-            path=path,
-            rows=list(rows),
-            forward=_canonical(forward),
-            backward=_canonical(backward),
-        )
-    return merged

@@ -146,7 +146,8 @@ class ProfileBuilder:
     def matrices_for(self, origin_rows: list[int]):
         """Batched profile matrices for the given references, per path.
 
-        The batched backend (:mod:`repro.paths.batch`): one sparse
+        Batched propagation (:mod:`repro.paths.batch`), the fast route of
+        :func:`repro.core.features.compute_pair_features`: one sparse
         matrix pair per path covering *all* the references at once,
         value-equivalent to stacking :meth:`profiles_for` outputs but
         computed as a handful of SpMM products instead of per-reference

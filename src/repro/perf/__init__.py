@@ -8,8 +8,8 @@ machinery that accelerates them without changing results:
 - :mod:`repro.perf.memo` — the LRU-bounded join-fanout memo that lets
   prefix-shared propagation reuse per-tuple mass splits across the
   references of one name;
-- :mod:`repro.perf.chunking` — row/pair chunk sizing so the vectorized
-  similarity kernels bound peak memory instead of densifying everything;
+- :mod:`repro.perf.chunking` — pair-list slicing by gathered nonzeros,
+  so the pair kernels and the blocking mask bound peak memory;
 - :mod:`repro.perf.parallel` — a ``ProcessPoolExecutor``-backed ordered
   map with deterministic, input-ordered result assembly, per-worker
   obs-counter merging, chunked dispatch, and an in-process fallback
@@ -21,9 +21,6 @@ machinery that accelerates them without changing results:
   the batched propagation backend (:mod:`repro.paths.batch`);
 - :mod:`repro.perf.blocking` — the inverted neighbor index: lossless
   zero-overlap pair pruning over stacked support matrices;
-- :mod:`repro.perf.minhash` — banded MinHash/LSH candidate blocking over
-  the same support sets, with an exact re-check of survivors
-  (``pair_pruning="minhash"``) and a measured-recall knob;
 - :mod:`repro.perf.shm` — zero-copy payload dispatch: protocol-5
   out-of-band buffers packed into one ``multiprocessing.shared_memory``
   segment that workers map read-only (:class:`~repro.perf.shm.SharedPayload`),
@@ -32,16 +29,14 @@ machinery that accelerates them without changing results:
   cost ≈ refs² per name) that the parallel map's shared queue
   work-steals from, keeping input-ordered assembly.
 
-The vectorized similarity kernels themselves live in
-:mod:`repro.similarity.vectorized`; the ``similarity_backend`` /
-``propagation_backend`` / ``pair_pruning`` / ``shared_memory`` /
-``shard_strategy`` switches in :class:`repro.config.DistinctConfig`
-route the pipeline through them. ``benchmarks/bench_perf_kernels.py``
-tracks the scalar/vectorized/batched/parallel trajectory in
-``BENCH_perf.json``; ``benchmarks/bench_scale.py`` tracks the
-scale-out trajectory (shared-memory dispatch, work-stealing shards,
-MinHash blocking) in ``BENCH_scale.json`` (history in
-``BENCH_history.jsonl``).
+The pair kernels themselves live in :mod:`repro.similarity.vectorized`
+and every pair-feature computation of one name runs through them
+(:mod:`repro.core.features`); the ``shared_memory`` / ``shard_strategy``
+switches in :class:`repro.config.DistinctConfig` tune the parallel loop.
+``benchmarks/bench_perf_kernels.py`` tracks the reference/batched/parallel
+trajectory in ``BENCH_perf.json``; ``benchmarks/bench_scale.py`` tracks
+the scale-out trajectory (shared-memory dispatch, work-stealing shards)
+in ``BENCH_scale.json`` (history in ``BENCH_history.jsonl``).
 """
 
 from repro.perf.blocking import (
@@ -49,15 +44,8 @@ from repro.perf.blocking import (
     intersecting_pair_mask,
     touched_row_mask,
 )
-from repro.perf.chunking import chunk_slices, rows_per_block
+from repro.perf.chunking import chunk_slices, pair_slices
 from repro.perf.memo import FanoutMemo
-from repro.perf.minhash import (
-    blocking_recall,
-    minhash_candidate_pairs,
-    minhash_pair_mask,
-    minhash_refined_mask,
-    minhash_signatures,
-)
 from repro.perf.parallel import (
     DEFAULT_TASK_RETRIES,
     RemoteTaskError,
@@ -86,19 +74,14 @@ __all__ = [
     "Transition",
     "TransitionCache",
     "active_segments",
-    "blocking_recall",
     "build_transition",
     "candidate_pairs",
     "chunk_slices",
     "intersecting_pair_mask",
-    "minhash_candidate_pairs",
-    "minhash_pair_mask",
-    "minhash_refined_mask",
-    "minhash_signatures",
     "name_cost",
     "ordered_process_map",
+    "pair_slices",
     "plan_shards",
-    "rows_per_block",
     "should_inline",
     "touched_row_mask",
 ]

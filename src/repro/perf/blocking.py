@@ -17,12 +17,13 @@ lists both. In matrix form that join is ``P @ P.T`` over the boolean
 support pattern ``P`` — :func:`candidate_pairs` materializes exactly the
 pairs with a non-empty intersection. :func:`intersecting_pair_mask` is
 the same test evaluated against an explicit pair list (the shape
-:func:`repro.core.features.compute_pair_features` needs), via chunked
-sparse row intersections so no n × n product is formed.
+:func:`repro.core.features.compute_pair_features` needs), via sparse row
+intersections in slices bounded by gathered nonzeros, so no n × n
+product is formed.
 
 This module is generic over any sparse support matrices (rows =
 references, columns = end-relation tuples) — in the pipeline those are
-the stacked forward profile matrices, from either propagation backend.
+the stacked forward profile matrices of batched propagation.
 """
 
 from __future__ import annotations
@@ -31,13 +32,10 @@ import numpy as np
 from scipy import sparse
 
 from repro.obs import counter
-from repro.perf.chunking import chunk_slices
+from repro.perf.chunking import DEFAULT_SLICE_NNZ, chunk_slices, pair_slices
 
 _PAIRS_PRUNED = counter("blocking.pairs_pruned")
 _PAIRS_KEPT = counter("blocking.pairs_kept")
-
-#: Pair-mask evaluation processes pairs in slices of this many rows.
-DEFAULT_PAIR_CHUNK = 8192
 
 #: ``candidate_pairs`` joins the inverted index in blocks of this many
 #: reference rows, bounding the working set to (chunk x n) instead of
@@ -58,21 +56,22 @@ def intersecting_pair_mask(
     idx_a: np.ndarray,
     idx_b: np.ndarray,
     *,
-    pair_chunk: int = DEFAULT_PAIR_CHUNK,
+    slice_nnz: int = DEFAULT_SLICE_NNZ,
 ) -> np.ndarray:
     """True where a pair's supports intersect on at least one path.
 
     ``support_matrices`` holds one (references × tuples) matrix per path;
     ``idx_a``/``idx_b`` are aligned row-index arrays naming the pairs.
     Pairs where the mask is False have exactly-zero resemblance and walk
-    values on every path (see module docstring).
+    values on every path (see module docstring). Each path's pairs are
+    gathered in slices of at most ``slice_nnz`` pattern nonzeros.
     """
     idx_a = np.asarray(idx_a, dtype=np.int64)
     idx_b = np.asarray(idx_b, dtype=np.int64)
     mask = np.zeros(len(idx_a), dtype=bool)
     for matrix in support_matrices:
         pattern = _pattern(matrix)
-        for sl in chunk_slices(len(idx_a), pair_chunk):
+        for sl in pair_slices(pattern, idx_a, idx_b, slice_nnz):
             todo = np.flatnonzero(~mask[sl])
             if not len(todo):
                 continue

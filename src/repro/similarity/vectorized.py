@@ -1,34 +1,25 @@
-"""Vectorized all-pairs similarity kernels over sparse profile matrices.
+"""Pair-list similarity kernels over stacked sparse profile matrices.
 
-The per-pair loops in :mod:`repro.core.features` are fine for the paper's
-name sizes (<= 151 references), but both §2 measures have vectorized forms
-that scale much further. Stacking the forward profiles of all references
-into a sparse matrix ``F`` (rows = references, columns = end-relation
-tuples) and the backward profiles into ``B``:
+Both §2 measures have vectorized forms over the stacked forward profiles
+``F`` (rows = references, columns = end-relation tuples) and backward
+profiles ``B`` of one path:
 
-- the directed *walk* matrix is simply ``F @ B.T``, and the symmetric
-  measure is the average of that and its transpose;
+- the directed *walk* probability of pair ``(a, b)`` is the row dot
+  product ``F[a] · B[b]``, and the symmetric measure is the average of
+  both directions;
 - *set resemblance* (weighted Jaccard) vectorizes through the identity
   ``min(a, b) = (a + b - |a - b|) / 2``: with row masses
-  ``s_ij = |a|_1 + |b|_1`` and pairwise L1 distances ``d_ij``, the
-  resemblance is ``(s_ij - d_ij) / (s_ij + d_ij)``. The L1 distances come
-  from chunked sparse row differences, so peak memory is bounded by a
-  byte budget and the full ``n x m`` matrix is never densified.
+  ``s = |a|_1 + |b|_1`` and the L1 distance ``d = |a - b|_1`` of the
+  sparse row difference, the resemblance is ``(s - d) / (s + d)``.
 
-Both kernels match the scalar implementations
+The kernels evaluate an explicit ``(i, j)`` list — no all-pairs grid,
+no densified rows — in slices bounded by gathered nonzeros
+(:func:`repro.perf.chunking.pair_slices`). Every value is computed from
+its own two rows, so results do not depend on how the list is sliced.
+They match the scalar reference implementations
 (:func:`repro.similarity.resemblance.set_resemblance`,
 :func:`repro.similarity.randomwalk.walk_probability`) to floating-point
-reassociation tolerance — asserted by property tests and by the CI
-benchmark smoke job. The scalar kernels remain the reference; the
-``similarity_backend`` switch in :class:`repro.config.DistinctConfig`
-selects which one the pipeline runs.
-
-Two kernel families are provided: *all-pairs matrices*
-(:func:`pairwise_resemblance_matrix`, :func:`pairwise_walk_matrix`) for
-full n x n grids, and *pair-list kernels*
-(:func:`pair_resemblance_values`, :func:`pair_walk_values`) that evaluate
-an explicit ``(i, j)`` list without materializing the unneeded pairs —
-the shape :func:`repro.core.features.compute_pair_features` needs.
+reassociation tolerance, asserted by property tests.
 """
 
 from __future__ import annotations
@@ -36,112 +27,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from repro.paths.joinpath import JoinPath
-from repro.paths.profiles import NeighborProfile
-from repro.perf.chunking import DEFAULT_BLOCK_BYTES, chunk_slices
-
-#: Above this many output entries (``n_refs ** 2``) the walk matrix stays
-#: sparse instead of being densified (see :func:`pairwise_walk_matrix`).
-DEFAULT_DENSE_LIMIT = 4096 * 4096
-
-#: Pair-list kernels process pairs in slices of this many rows.
-DEFAULT_PAIR_CHUNK = 8192
-
-
-def profile_matrices(
-    profiles: list[NeighborProfile],
-) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
-    """Stack profiles into (forward, backward) CSR matrices.
-
-    Rows follow the input order; columns are the union of the supports,
-    indexed densely in sorted row-id order. The column index is built once
-    via ``np.unique`` over the concatenated supports and shared by the
-    forward and backward matrices (identical ``indices``/``indptr``), so
-    construction is O(total support x log) with no per-tuple Python-dict
-    probing.
-    """
-    n = len(profiles)
-    counts = np.array([len(p.weights) for p in profiles], dtype=np.int64)
-    total = int(counts.sum())
-
-    all_ids = np.empty(total, dtype=np.int64)
-    fwd_vals = np.empty(total, dtype=np.float64)
-    back_vals = np.empty(total, dtype=np.float64)
-    pos = 0
-    for profile, k in zip(profiles, counts):
-        if k:
-            all_ids[pos : pos + k] = np.fromiter(
-                profile.weights.keys(), dtype=np.int64, count=k
-            )
-            vals = np.array(list(profile.weights.values()), dtype=np.float64)
-            fwd_vals[pos : pos + k] = vals[:, 0]
-            back_vals[pos : pos + k] = vals[:, 1]
-        pos += k
-
-    columns, inverse = np.unique(all_ids, return_inverse=True)
-    # Canonical CSR wants ascending column indices within each row; one
-    # lexsort (row-major, then column) orders both value arrays alike.
-    rows_idx = np.repeat(np.arange(n, dtype=np.int64), counts)
-    order = np.lexsort((inverse, rows_idx))
-    indices = inverse[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-
-    shape = (n, len(columns))
-    forward = sparse.csr_matrix((fwd_vals[order], indices, indptr), shape=shape)
-    backward = sparse.csr_matrix((back_vals[order], indices.copy(), indptr.copy()), shape=shape)
-    return forward, backward
-
-
-def _row_masses(forward: sparse.csr_matrix) -> np.ndarray:
-    return np.asarray(forward.sum(axis=1)).ravel()
-
-
-def pairwise_resemblance_matrix(
-    profiles: list[NeighborProfile],
-    *,
-    chunk_bytes: int = DEFAULT_BLOCK_BYTES,
-) -> np.ndarray:
-    """Symmetric all-pairs set resemblance for one path.
-
-    Equivalent (to reassociation tolerance) to calling
-    :func:`repro.similarity.resemblance.set_resemblance` on every pair,
-    with the diagonal zeroed to match :func:`pairwise_walk_matrix`
-    (self-similarities are not meaningful for clustering).
-
-    ``chunk_bytes`` bounds the per-chunk working set (worst-case dense
-    accounting of the sparse pair slices), so memory stays bounded
-    however many references or columns the name has.
-    """
-    if not profiles:
-        return np.zeros((0, 0))
-    forward, _ = profile_matrices(profiles)
-    return resemblance_matrix_from_forward(forward, chunk_bytes=chunk_bytes)
-
-
-def resemblance_matrix_from_forward(
-    forward: sparse.csr_matrix,
-    *,
-    chunk_bytes: int = DEFAULT_BLOCK_BYTES,
-) -> np.ndarray:
-    """All-pairs weighted Jaccard from a stacked forward matrix.
-
-    Evaluates the upper triangle with the sparse pair-list kernel in
-    chunks sized by ``chunk_bytes`` (worst-case dense accounting), then
-    mirrors. Profiles reach a small fraction of the end relation, so the
-    sparse row differences beat dense broadcast blocks by the fill-in
-    factor — and the full ``n x m`` matrix is never densified.
-    """
-    n = forward.shape[0]
-    out = np.zeros((n, n))
-    if n < 2:
-        return out
-    iu, ju = np.triu_indices(n, k=1)
-    pair_chunk = max(1, int(chunk_bytes // (16 * max(forward.shape[1], 1))))
-    values = pair_resemblance_values(forward, iu, ju, pair_chunk=pair_chunk)
-    out[iu, ju] = values
-    out[ju, iu] = values
-    return out
+from repro.perf.chunking import DEFAULT_SLICE_NNZ, pair_slices
 
 
 def pair_resemblance_values(
@@ -149,21 +35,16 @@ def pair_resemblance_values(
     idx_a: np.ndarray,
     idx_b: np.ndarray,
     *,
-    pair_chunk: int = DEFAULT_PAIR_CHUNK,
+    slice_nnz: int = DEFAULT_SLICE_NNZ,
 ) -> np.ndarray:
-    """Set resemblance for an explicit pair list (rows of ``forward``).
-
-    Works row-wise on sparse slices — no dense blocks, no unneeded pairs —
-    so arbitrary pair lists (e.g. training pairs spanning many names) cost
-    O(pairs x support), not O(n^2).
-    """
+    """Set resemblance for an explicit pair list (rows of ``forward``)."""
     idx_a = np.asarray(idx_a, dtype=np.int64)
     idx_b = np.asarray(idx_b, dtype=np.int64)
     out = np.zeros(len(idx_a))
     if not len(idx_a):
         return out
-    masses = _row_masses(forward)
-    for sl in chunk_slices(len(idx_a), pair_chunk):
+    masses = np.asarray(forward.sum(axis=1)).ravel()
+    for sl in pair_slices(forward, idx_a, idx_b, slice_nnz):
         diff = forward[idx_a[sl]] - forward[idx_b[sl]]
         l1 = np.asarray(abs(diff).sum(axis=1)).ravel()
         s = masses[idx_a[sl]] + masses[idx_b[sl]]
@@ -179,15 +60,19 @@ def pair_walk_values(
     idx_a: np.ndarray,
     idx_b: np.ndarray,
     *,
-    pair_chunk: int = DEFAULT_PAIR_CHUNK,
+    slice_nnz: int = DEFAULT_SLICE_NNZ,
 ) -> np.ndarray:
-    """Symmetric walk probabilities for an explicit pair list."""
+    """Symmetric walk probabilities for an explicit pair list.
+
+    The backward pattern is a subset of the forward one, so the forward
+    nonzeros bound the slice's working set.
+    """
     idx_a = np.asarray(idx_a, dtype=np.int64)
     idx_b = np.asarray(idx_b, dtype=np.int64)
     out = np.zeros(len(idx_a))
     if not len(idx_a):
         return out
-    for sl in chunk_slices(len(idx_a), pair_chunk):
+    for sl in pair_slices(forward, idx_a, idx_b, slice_nnz):
         fwd_a = forward[idx_a[sl]]
         fwd_b = forward[idx_b[sl]]
         back_a = backward[idx_a[sl]]
@@ -196,58 +81,3 @@ def pair_walk_values(
         d_ba = np.asarray(fwd_b.multiply(back_a).sum(axis=1)).ravel()
         out[sl] = 0.5 * (d_ab + d_ba)
     return out
-
-
-def pairwise_walk_matrix(
-    profiles: list[NeighborProfile],
-    *,
-    chunk_bytes: int = DEFAULT_BLOCK_BYTES,
-    dense_limit: int = DEFAULT_DENSE_LIMIT,
-) -> np.ndarray | sparse.csr_matrix:
-    """Symmetric all-pairs walk probabilities for one path.
-
-    Equivalent to calling
-    :func:`repro.similarity.randomwalk.walk_probability` on every pair,
-    with the diagonal zeroed (self-walks are not meaningful for
-    clustering).
-
-    The ``F @ B.T`` product is computed in row chunks sized by
-    ``chunk_bytes``; when the output would exceed ``dense_limit`` entries
-    (``n_refs ** 2``), the result stays a ``csr_matrix`` instead of being
-    densified, so large names cannot blow up memory.
-    """
-    if not profiles:
-        return np.zeros((0, 0))
-    forward, backward = profile_matrices(profiles)
-    n = forward.shape[0]
-    row_chunk = max(1, int(chunk_bytes // (8 * max(n, 1))))
-
-    if n * n <= dense_limit:
-        directed = np.empty((n, n))
-        for sl in chunk_slices(n, row_chunk):
-            directed[sl] = (forward[sl] @ backward.T).toarray()
-        symmetric = 0.5 * (directed + directed.T)
-        np.fill_diagonal(symmetric, 0.0)
-        return symmetric
-
-    blocks = [forward[sl] @ backward.T for sl in chunk_slices(n, row_chunk)]
-    directed = sparse.vstack(blocks, format="csr")
-    symmetric = (0.5 * (directed + directed.T)).tocsr()
-    symmetric.setdiag(0.0)
-    symmetric.eliminate_zeros()
-    return symmetric
-
-
-def pairwise_walk_matrices(
-    profiles_by_path: dict[JoinPath, list[NeighborProfile]],
-    *,
-    chunk_bytes: int = DEFAULT_BLOCK_BYTES,
-    dense_limit: int = DEFAULT_DENSE_LIMIT,
-) -> dict[JoinPath, np.ndarray | sparse.csr_matrix]:
-    """Per-path all-pairs walk matrices (convenience wrapper)."""
-    return {
-        path: pairwise_walk_matrix(
-            profiles, chunk_bytes=chunk_bytes, dense_limit=dense_limit
-        )
-        for path, profiles in profiles_by_path.items()
-    }

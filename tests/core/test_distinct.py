@@ -6,6 +6,8 @@ from repro.core.variants import FIG4_VARIANTS, variant_by_key
 from repro.errors import NotFittedError
 from repro.eval.metrics import pairwise_scores
 
+from tests.kernel_oracle import reference_route
+
 
 class TestFit:
     def test_fit_report(self, fitted):
@@ -47,27 +49,28 @@ class TestBackendEquivalentResolutions:
         )
         return pipeline
 
-    @pytest.mark.parametrize(
-        "changes",
-        [
-            {"propagation_backend": "batched"},
-            {"pair_pruning": True},
-            {"propagation_backend": "batched", "pair_pruning": True},
-            {
-                "similarity_backend": "vectorized",
-                "propagation_backend": "batched",
-                "pair_pruning": True,
-            },
-        ],
-        ids=["batched", "pruned", "batched-pruned", "vectorized-batched-pruned"],
-    )
+    @pytest.mark.parametrize("measure", ["combined", "resemblance", "walk"])
     def test_resolutions_identical_across_backends(
-        self, fitted, small_db, changes
+        self, fitted, small_db, measure
     ):
+        # The default route (batched propagation, exact blocking, matrix
+        # kernels) against the per-reference reference route.
+        reference = self._variant(fitted, small_db, degradation="fallback")
         for name in ("Wei Wang", "Jim Smith"):
-            reference = fitted.resolve(name)
-            got = self._variant(fitted, small_db, **changes).resolve(name)
-            assert got.clusters == reference.clusters
+            got = fitted.resolve(name, measure=measure)
+            with reference_route():
+                expected = reference.resolve(name, measure=measure)
+            assert expected.features.degraded and not got.features.degraded
+            assert got.clusters == expected.clusters
+            np.testing.assert_allclose(
+                got.features.resemblance,
+                expected.features.resemblance,
+                rtol=0,
+                atol=1e-12,
+            )
+            np.testing.assert_allclose(
+                got.features.walk, expected.features.walk, rtol=0, atol=1e-12
+            )
 
 
 class TestResolve:

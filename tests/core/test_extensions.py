@@ -7,7 +7,7 @@ import pytest
 from repro.cluster.agglomerative import AgglomerativeClusterer
 from repro.cluster.linkage import SingleLinkMeasure
 from repro.core.candidates import find_ambiguous_candidates
-from repro.core.incremental import extend_resolution
+from repro.ingest.greedy import extend_resolution
 from repro.eval.metrics import pairwise_scores
 from repro.graph import (
     connected_component_clusters,
@@ -16,7 +16,7 @@ from repro.graph import (
     shared_coauthor_count,
     similarity_histogram,
 )
-from repro.ml.calibration import (
+from repro.eval.calibration import (
     calibrate_min_sim,
     make_synthetic_names,
     prepare_synthetic,

@@ -19,6 +19,8 @@ from repro.errors import ReproError
 from repro.ingest import IngestEngine
 from repro.reldb.delta import Delta
 
+from tests.kernel_oracle import reference_route
+
 NAMES = ["Wei Wang", "Rakesh Kumar", "Jim Smith"]
 MIN_SIM = 0.4
 
@@ -31,13 +33,8 @@ def warm(fitted, small_world):
     pool = [e.entity_id for e in small_world.entities if e.name == "Jim Smith"]
     grown = grow_world(small_world, 6, seed=13, author_pool=pool)
     split = split_world(grown, 6)
-    config = replace(
-        fitted.config,
-        similarity_backend="vectorized",
-        propagation_backend="batched",
-    )
     distinct = Distinct.from_models(
-        split.base, fitted.resem_model_, fitted.walk_model_, config
+        split.base, fitted.resem_model_, fitted.walk_model_, fitted.config
     )
     return distinct, split
 
@@ -56,6 +53,19 @@ class TestColdResolve:
         )
         assert got.resem_matrix.tobytes() == want.resem_matrix.tobytes()
         assert got.walk_matrix.tobytes() == want.walk_matrix.tobytes()
+        # The engine's default route agrees with the reference route.
+        reference = Distinct.from_models(
+            distinct.db,
+            distinct.resem_model_,
+            distinct.walk_model_,
+            replace(distinct.config, degradation="fallback"),
+        )
+        with reference_route():
+            slow = reference.cluster_prepared(
+                reference.prepare("Jim Smith"), min_sim=MIN_SIM
+            )
+        assert slow.features.degraded
+        assert got.clusters == slow.clusters
 
     def test_untracked_name_rejected(self, warm):
         distinct, _ = warm

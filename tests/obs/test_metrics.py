@@ -181,12 +181,12 @@ class TestPipelineCounters:
             name: reg.counter(name).value
             for name in (
                 "pairs.scored",
-                "propagation.tuples_visited",
+                "propagation.batch.tuples",
+                "perf.transitions.built",
+                "blocking.pairs_kept",
+                "features.vectorized.pairs",
                 "cluster.merges",
                 "cluster.runs",
-                "similarity.resemblance.calls",
-                "similarity.walk.calls",
-                "profiles.cache_misses",
             )
         }
         fitted.resolve("Wei Wang")

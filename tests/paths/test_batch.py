@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.paths import JoinPath, ProfileBuilder, PropagationEngine
-from repro.paths.batch import batch_profile_matrices, merge_batched
+from repro.paths.batch import batch_profile_matrices
 from repro.paths.propagation import make_exclusions
 from repro.perf.memo import FanoutMemo
 from repro.reldb.joins import JoinStep
@@ -108,25 +108,21 @@ class TestBatchedProfilesContract:
                     assert back == pytest.approx(eb, abs=ATOL)
 
 
-class TestMergeBatched:
-    def test_merge_restores_row_order(self):
+class TestBatchComposition:
+    def test_rows_do_not_depend_on_batch_composition(self):
+        # Delta ingest re-batches a subset of a name's references; each
+        # reference's rows must not depend on which others share its batch.
         engine = PropagationEngine(build_minidb(), EXCLUSIONS)
         whole = batch_profile_matrices(engine, PATHS, WW_REFS)
-        # split the batch in two and merge back in interleaved order
-        part_a = batch_profile_matrices(engine, PATHS, [WW_REFS[1], WW_REFS[3]])
-        part_b = batch_profile_matrices(engine, PATHS, [WW_REFS[0], WW_REFS[2]])
-        merged = merge_batched(list(WW_REFS), [part_a, part_b])
-        for path in PATHS:
-            assert merged[path].rows == list(WW_REFS)
-            np.testing.assert_allclose(
-                merged[path].forward.toarray(),
-                whole[path].forward.toarray(),
-                rtol=0,
-                atol=ATOL,
-            )
-            np.testing.assert_allclose(
-                merged[path].backward.toarray(),
-                whole[path].backward.toarray(),
-                rtol=0,
-                atol=ATOL,
-            )
+        for part in ([WW_REFS[1], WW_REFS[3]], [WW_REFS[2], WW_REFS[0]]):
+            batch = batch_profile_matrices(engine, PATHS, part)
+            at = [WW_REFS.index(row) for row in part]
+            for path in PATHS:
+                assert batch[path].rows == part
+                for side in ("forward", "backward"):
+                    np.testing.assert_allclose(
+                        getattr(batch[path], side).toarray(),
+                        getattr(whole[path], side)[at].toarray(),
+                        rtol=0,
+                        atol=ATOL,
+                    )

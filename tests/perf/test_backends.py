@@ -1,30 +1,26 @@
-"""Scalar vs vectorized feature backends, and memoized propagation.
+"""The fast pair-feature route vs the reference route, and memoized
+propagation.
 
 Uses the hand-built mini DBLP database so expectations stay checkable:
-the two backends must agree on every (pair, path) feature, and a
-memo-equipped builder must produce float-identical profiles. The same
-gate covers the batched propagation backend and zero-overlap pruning:
-every (backend, propagation, prune) combination must agree on features,
-and pruning must never change a clustering.
+the default route (batched propagation, exact blocking, matrix kernels)
+must agree with the per-reference reference route on every (pair, path)
+feature, blocking must drop exactly the pairs the reference route scores
+zero on every path, and a memo-equipped builder must produce
+float-identical profiles.
 """
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 import pytest
 
-from repro.core.features import (
-    BACKENDS,
-    PROPAGATION_BACKENDS,
-    all_pairs,
-    compute_pair_features,
-)
+from repro.core.features import all_pairs, compute_pair_features
 from repro.paths import JoinPath, ProfileBuilder
 from repro.paths.propagation import make_exclusions
 from repro.reldb.joins import JoinStep
+from repro.similarity.vectorized import pair_resemblance_values, pair_walk_values
 
+from tests.kernel_oracle import reference_features
 from tests.minidb import WW_AUTHOR_ROW, WW_REFS, build_minidb
 
 PUB_PAP = JoinStep("Publish", "paper_key", "Publications", "paper_key", "n1")
@@ -44,85 +40,90 @@ def _builder(memo_size=None):
     )
 
 
+def _assert_close(got, reference):
+    assert got.pairs == reference.pairs
+    np.testing.assert_allclose(
+        got.resemblance, reference.resemblance, rtol=0, atol=1e-12
+    )
+    np.testing.assert_allclose(got.walk, reference.walk, rtol=0, atol=1e-12)
+
+
 class TestBackendEquivalence:
     def test_backends_agree_on_all_pairs(self):
         pairs = all_pairs(WW_REFS)
-        scalar = compute_pair_features(_builder(), pairs, backend="scalar")
-        vector = compute_pair_features(_builder(), pairs, backend="vectorized")
-        assert scalar.pairs == vector.pairs
-        np.testing.assert_allclose(
-            scalar.resemblance, vector.resemblance, rtol=0, atol=1e-12
+        _assert_close(
+            compute_pair_features(_builder(), pairs),
+            reference_features(_builder(), pairs),
         )
-        np.testing.assert_allclose(scalar.walk, vector.walk, rtol=0, atol=1e-12)
 
     def test_vectorized_handles_tiny_pair_chunk(self):
-        pairs = all_pairs(WW_REFS)
-        whole = compute_pair_features(_builder(), pairs, backend="vectorized")
-        sliced = compute_pair_features(
-            _builder(), pairs, backend="vectorized", pair_chunk=1
-        )
-        np.testing.assert_array_equal(whole.resemblance, sliced.resemblance)
-        np.testing.assert_array_equal(whole.walk, sliced.walk)
+        # A budget of 1 gathered nonzero (one pair per slice) is bitwise
+        # equal to a single slice over the whole pair list.
+        matrices = _builder().matrices_for(list(WW_REFS))
+        idx_a, idx_b = np.triu_indices(len(WW_REFS), k=1)
+        for stacked in matrices.values():
+            single = 2 * stacked.forward.nnz
+            for kernel, args in (
+                (pair_resemblance_values, (stacked.forward,)),
+                (pair_walk_values, (stacked.forward, stacked.backward)),
+            ):
+                np.testing.assert_array_equal(
+                    kernel(*args, idx_a, idx_b, slice_nnz=1),
+                    kernel(*args, idx_a, idx_b, slice_nnz=single),
+                )
 
     def test_empty_pair_list(self):
-        for backend in BACKENDS:
-            features = compute_pair_features(_builder(), [], backend=backend)
+        for features in (
+            compute_pair_features(_builder(), []),
+            reference_features(_builder(), []),
+        ):
             assert features.n_pairs == 0
             assert features.resemblance.shape == (0, len(PATHS))
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            compute_pair_features(_builder(), [], backend="gpu")
+        # The route follows the input; there is no backend knob to pass.
+        with pytest.raises(TypeError, match="backend"):
+            compute_pair_features(_builder(), [], backend="vectorized")
+        with pytest.raises(ValueError, match="degradation"):
+            compute_pair_features(_builder(), [], degradation="lenient")
 
 
 class TestPropagationBackends:
     def test_batched_matches_scalar_features(self):
         pairs = all_pairs(WW_REFS)
-        reference = compute_pair_features(_builder(), pairs, backend="scalar")
-        for backend, prune in itertools.product(BACKENDS, (False, True)):
-            got = compute_pair_features(
-                _builder(), pairs, backend=backend, propagation="batched", prune=prune
-            )
-            assert got.pairs == reference.pairs
-            np.testing.assert_allclose(
-                got.resemblance, reference.resemblance, rtol=0, atol=1e-12
-            )
-            np.testing.assert_allclose(got.walk, reference.walk, rtol=0, atol=1e-12)
+        _assert_close(
+            compute_pair_features(_builder(), pairs),
+            reference_features(_builder(), pairs),
+        )
 
     def test_scalar_propagation_with_pruning(self):
+        # Blocking zero-fills exactly the pairs whose reference-route
+        # features are zero on every path.
         pairs = all_pairs(WW_REFS)
-        reference = compute_pair_features(_builder(), pairs, backend="scalar")
-        for backend in BACKENDS:
-            got = compute_pair_features(
-                _builder(), pairs, backend=backend, propagation="scalar", prune=True
-            )
-            np.testing.assert_allclose(
-                got.resemblance, reference.resemblance, rtol=0, atol=1e-12
-            )
-            np.testing.assert_allclose(got.walk, reference.walk, rtol=0, atol=1e-12)
+        reference = reference_features(_builder(), pairs)
+        got = compute_pair_features(_builder(), pairs)
+        zero = ~(reference.resemblance.any(axis=1) | reference.walk.any(axis=1))
+        assert zero.any() and not zero.all()
+        assert not got.resemblance[zero].any() and not got.walk[zero].any()
+        _assert_close(got, reference)
 
     def test_batched_with_memo_matches(self):
         pairs = all_pairs(WW_REFS)
-        plain = compute_pair_features(_builder(), pairs, propagation="batched")
-        memoized = compute_pair_features(
-            _builder(memo_size=1024), pairs, propagation="batched"
-        )
+        plain = compute_pair_features(_builder(), pairs)
+        memoized = compute_pair_features(_builder(memo_size=1024), pairs)
         np.testing.assert_allclose(
             plain.resemblance, memoized.resemblance, rtol=0, atol=1e-12
         )
         np.testing.assert_allclose(plain.walk, memoized.walk, rtol=0, atol=1e-12)
 
     def test_empty_pairs_batched(self):
-        for prune in (False, True):
-            features = compute_pair_features(
-                _builder(), [], propagation="batched", prune=prune
-            )
-            assert features.n_pairs == 0
+        features = compute_pair_features(_builder(), [])
+        assert features.n_pairs == 0
 
     def test_unknown_propagation_rejected(self):
-        assert "batched" in PROPAGATION_BACKENDS
-        with pytest.raises(ValueError, match="propagation"):
-            compute_pair_features(_builder(), [], propagation="quantum")
+        for knob in ("propagation", "prune"):
+            with pytest.raises(TypeError, match=knob):
+                compute_pair_features(_builder(), [], **{knob: "batched"})
 
 
 class TestMemoizedPropagation:

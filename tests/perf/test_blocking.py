@@ -46,8 +46,9 @@ class TestIntersectingPairMask:
         mats = _random_supports(rng, 12, 25, 2)
         idx_a, idx_b = np.triu_indices(12, k=1)
         whole = intersecting_pair_mask(mats, idx_a, idx_b)
-        sliced = intersecting_pair_mask(mats, idx_a, idx_b, pair_chunk=3)
-        np.testing.assert_array_equal(whole, sliced)
+        for budget in (1, 3):
+            sliced = intersecting_pair_mask(mats, idx_a, idx_b, slice_nnz=budget)
+            np.testing.assert_array_equal(whole, sliced)
 
     def test_explicit_zeros_do_not_count_as_support(self):
         m = sparse.csr_matrix(  # stored zero at (0, 1), the shared column

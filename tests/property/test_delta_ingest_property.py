@@ -4,10 +4,12 @@ Random grown worlds split into (base, delta): an :class:`IngestEngine`
 that resolved every name pre-delta and then applies the delta must
 produce exactly the rows, clusters, pair matrices, dendrogram merges,
 and merge similarities of a cold ``prepare``/``cluster_prepared`` on
-the post-delta database with the same fitted models — across
-similarity/propagation backends, pair pruning modes, and ``workers=4``
-— plus a crash-mid-ingest + resume chaos case through the resilient
-runner.
+the post-delta database with the same fitted models — on the default
+pair-feature route, on the reference route, and with ``workers=4`` —
+plus a crash-mid-ingest + resume chaos case through the resilient
+runner. Across routes (default-route ingest against a reference-route
+cold refit) the clusterings are equal and the matrices agree to
+floating-point reassociation tolerance.
 
 The fitted models come from the session-scoped ``fitted`` fixture (the
 full small world); each case re-binds them to a pre-delta base via
@@ -17,6 +19,7 @@ delta ingest models: the models are held fixed, only the database grows.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -28,14 +31,16 @@ from repro.data.deltas import grow_world, split_world
 from repro.ingest import IngestEngine, ingest_checkpoint, ingest_resilient
 from repro.resilience import ErrorCollector, FaultInjected, FaultPlan, fault_plan
 
+from tests.kernel_oracle import reference_route
+
 NAMES = ["Wei Wang", "Rakesh Kumar", "Jim Smith"]
 MIN_SIM = 0.4
 
-BACKENDS = [
-    pytest.param("scalar", "scalar", False, id="scalar"),
-    pytest.param("vectorized", "batched", False, id="vectorized"),
-    pytest.param("vectorized", "batched", "exact", id="pruned-exact"),
-    pytest.param("vectorized", "batched", "minhash", id="pruned-minhash"),
+#: (ingest route, cold-refit route)
+ROUTES = [
+    pytest.param("reference", "reference", id="scalar-reference"),
+    pytest.param("default", "default", id="vectorized-default"),
+    pytest.param("default", "reference", id="pruned-default-vs-reference"),
 ]
 
 
@@ -66,27 +71,49 @@ def rebind(fitted, db, **config_overrides):
     )
 
 
-def ingest_vs_cold(fitted, world, n_delta, seed, workers=1, **config_overrides):
+def on_route(route):
+    """Run a ``degradation="fallback"`` pipeline on ``route``."""
+    return reference_route() if route == "reference" else nullcontext()
+
+
+def ingest_vs_cold(
+    fitted, world, n_delta, seed, workers=1, ingest_route="default",
+    cold_route="default",
+):
     """Run the engine over a grown-world split; assert equality per name."""
     grown = grow_world(world, n_delta, seed=seed)
     split = split_world(grown, n_delta)
+    routes = {ingest_route, cold_route}
+    overrides = {"degradation": "fallback"} if "reference" in routes else {}
 
-    warm = rebind(fitted, split.base, **config_overrides)
-    engine = IngestEngine(warm, min_sim=MIN_SIM)
-    for name in NAMES:
-        engine.resolve(name)
-    report = engine.ingest(split.delta, workers=workers)
+    warm = rebind(fitted, split.base, **overrides)
+    with on_route(ingest_route):
+        engine = IngestEngine(warm, min_sim=MIN_SIM)
+        for name in NAMES:
+            engine.resolve(name)
+        report = engine.ingest(split.delta, workers=workers)
 
     from repro.data.world import world_to_database
 
     post_db, _ = world_to_database(grown)
-    cold = rebind(fitted, post_db, **config_overrides)
+    cold = rebind(fitted, post_db, **overrides)
     for name in NAMES:
-        expected = cold.cluster_prepared(cold.prepare(name), min_sim=MIN_SIM)
-        assert snapshot(report.resolution(name)) == snapshot(expected), (
-            f"{name}: delta ingest diverged from cold refit "
-            f"(seed={seed}, n_delta={n_delta})"
-        )
+        with on_route(cold_route):
+            expected = cold.cluster_prepared(cold.prepare(name), min_sim=MIN_SIM)
+        got = report.resolution(name)
+        context = f"{name}: seed={seed}, n_delta={n_delta}"
+        if ingest_route == cold_route:
+            assert snapshot(got) == snapshot(expected), (
+                f"delta ingest diverged from cold refit ({context})"
+            )
+            continue
+        assert got.rows == expected.rows, context
+        assert got.clusters == expected.clusters, context
+        for matrix in ("resem_matrix", "walk_matrix"):
+            np.testing.assert_allclose(
+                getattr(got, matrix), getattr(expected, matrix),
+                rtol=0, atol=1e-12, err_msg=context,
+            )
     return report
 
 
@@ -99,27 +126,19 @@ class TestByteIdentity:
     def test_random_split_matches_cold_refit(
         self, fitted, small_world, n_delta, seed
     ):
-        ingest_vs_cold(
-            fitted,
-            small_world,
-            n_delta,
-            seed,
-            similarity_backend="vectorized",
-            propagation_backend="batched",
-        )
+        ingest_vs_cold(fitted, small_world, n_delta, seed)
 
-    @pytest.mark.parametrize("similarity,propagation,pruning", BACKENDS)
+    @pytest.mark.parametrize("ingest_route,cold_route", ROUTES)
     def test_every_backend_matches_cold_refit(
-        self, fitted, small_world, similarity, propagation, pruning
+        self, fitted, small_world, ingest_route, cold_route
     ):
         ingest_vs_cold(
             fitted,
             small_world,
             12,
             seed=5,
-            similarity_backend=similarity,
-            propagation_backend=propagation,
-            pair_pruning=pruning,
+            ingest_route=ingest_route,
+            cold_route=cold_route,
         )
 
     def test_parallel_ingest_matches_cold_refit(self, fitted, small_world):
@@ -129,8 +148,6 @@ class TestByteIdentity:
             12,
             seed=5,
             workers=4,
-            similarity_backend="vectorized",
-            propagation_backend="batched",
         )
         assert report.names_refreshed or report.names_clean
 
@@ -142,8 +159,6 @@ class TestByteIdentity:
             warm = rebind(
                 fitted,
                 split_world(grown, 10).base,
-                similarity_backend="vectorized",
-                propagation_backend="batched",
             )
             engine = IngestEngine(warm, min_sim=MIN_SIM)
             for name in NAMES:
@@ -167,8 +182,6 @@ class TestCrashMidIngestResume:
             warm = rebind(
                 fitted,
                 split_world(grown, 8).base,
-                similarity_backend="vectorized",
-                propagation_backend="batched",
             )
             return ingest_resilient(
                 warm,
@@ -209,8 +222,6 @@ class TestCrashMidIngestResume:
         warm = rebind(
             fitted,
             split_world(grown, 8).base,
-            similarity_backend="vectorized",
-            propagation_backend="batched",
         )
         collector = ErrorCollector()
         with fault_plan(FaultPlan().fail_at("ingest.refresh", item=NAMES[1])):

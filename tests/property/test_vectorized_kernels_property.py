@@ -2,7 +2,7 @@
 
 Random profiles honoring the propagation invariants are pushed through
 both implementations; values must agree to floating-point reassociation
-tolerance on every pair, for every chunking configuration.
+tolerance on every pair, for every slice budget.
 """
 
 from __future__ import annotations
@@ -10,19 +10,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import sparse
 
 from repro.paths import JoinPath
 from repro.paths.profiles import NeighborProfile
 from repro.reldb.joins import JoinStep
 from repro.similarity import set_resemblance, walk_probability
-from repro.similarity.vectorized import (
-    pair_resemblance_values,
-    pair_walk_values,
-    pairwise_resemblance_matrix,
-    pairwise_walk_matrix,
-    profile_matrices,
-)
+from repro.similarity.vectorized import pair_resemblance_values, pair_walk_values
+
+from tests.kernel_oracle import all_pairs_matrices, profile_matrices
 
 PATH = JoinPath([JoinStep("A", "x", "B", "y", "n1")])
 
@@ -49,10 +44,10 @@ profile_lists = st.lists(profiles(), min_size=1, max_size=7)
 
 
 class TestAllPairsMatrices:
-    @given(profile_lists, st.integers(min_value=64, max_value=4096))
+    @given(profile_lists, st.integers(min_value=1, max_value=64))
     @settings(max_examples=60, deadline=None)
-    def test_resemblance_matrix_matches_scalar(self, group, chunk_bytes):
-        matrix = pairwise_resemblance_matrix(group, chunk_bytes=chunk_bytes)
+    def test_resemblance_matrix_matches_scalar(self, group, slice_nnz):
+        matrix, _ = all_pairs_matrices(group, slice_nnz=slice_nnz)
         n = len(group)
         assert matrix.shape == (n, n)
         for i in range(n):
@@ -65,21 +60,13 @@ class TestAllPairsMatrices:
     @given(profile_lists)
     @settings(max_examples=60, deadline=None)
     def test_walk_matrix_matches_scalar(self, group):
-        matrix = pairwise_walk_matrix(group)
+        _, matrix = all_pairs_matrices(group)
         for i in range(len(group)):
             for j in range(len(group)):
                 expected = (
                     0.0 if i == j else walk_probability(group[i], group[j])
                 )
                 assert matrix[i, j] == pytest.approx(expected, abs=ATOL)
-
-    @given(profile_lists)
-    @settings(max_examples=40, deadline=None)
-    def test_sparse_walk_branch_equals_dense(self, group):
-        dense = pairwise_walk_matrix(group, dense_limit=10**9)
-        kept_sparse = pairwise_walk_matrix(group, dense_limit=0)
-        assert sparse.issparse(kept_sparse)
-        np.testing.assert_allclose(kept_sparse.toarray(), dense, atol=ATOL)
 
 
 class TestPairListKernels:
@@ -94,9 +81,9 @@ class TestPairListKernels:
         forward, backward = profile_matrices(group)
         idx_a = np.array([a for a, _ in pairs])
         idx_b = np.array([b for _, b in pairs])
-        pair_chunk = data.draw(st.integers(min_value=1, max_value=len(pairs)))
-        resem = pair_resemblance_values(forward, idx_a, idx_b, pair_chunk=pair_chunk)
-        walk = pair_walk_values(forward, backward, idx_a, idx_b, pair_chunk=pair_chunk)
+        slice_nnz = data.draw(st.integers(min_value=1, max_value=64))
+        resem = pair_resemblance_values(forward, idx_a, idx_b, slice_nnz=slice_nnz)
+        walk = pair_walk_values(forward, backward, idx_a, idx_b, slice_nnz=slice_nnz)
         for k, (a, b) in enumerate(pairs):
             assert resem[k] == pytest.approx(
                 set_resemblance(group[a], group[b]), abs=ATOL

@@ -10,10 +10,10 @@ robustness layer promises:
   policy, exactly like an in-process failure;
 - corrupted (truncated / bit-flipped) checkpoints are quarantined and the
   run restarts from nothing — never silently resumed;
-- an injected ``MemoryError`` in a fast backend under
-  ``degradation="fallback"`` yields scalar-identical results with the
-  ``resilience.degraded.*`` counters incremented; under ``"strict"`` it
-  propagates;
+- an injected ``MemoryError`` in the fast pair-feature route under
+  ``degradation="fallback"`` yields results identical to the reference
+  route with the ``resilience.degraded.*`` counters incremented; under
+  ``"strict"`` it propagates;
 - a deadline-expired run leaves a resumable (``complete: false``)
   checkpoint, including after a worker-crash abort.
 
@@ -31,10 +31,12 @@ import numpy as np
 import pytest
 
 from repro.core.distinct import Distinct
+from repro.core.references import exclusions_for_name
 from repro.core.variants import variant_by_key
 from repro.eval.persistence import experiment_result_to_dict
 from repro.eval.runner import experiment_checkpoint, run_resilient
 from repro.obs import get_metrics
+from repro.paths.profiles import ProfileBuilder
 from repro.perf import RemoteTaskError
 from repro.resilience import (
     Deadline,
@@ -44,6 +46,8 @@ from repro.resilience import (
     flip_byte,
     truncate_file,
 )
+
+from tests.kernel_oracle import reference_features
 
 NAMES = ["Wei Wang", "Rakesh Kumar", "Jim Smith"]
 MIN_SIM = 0.006
@@ -229,18 +233,16 @@ class TestCheckpointCorruption:
 
 
 class TestBackendMemoryError:
-    """Fault: MemoryError in a fast backend. Site: compute_pair_features."""
+    """Fault: MemoryError in the fast route. Site: compute_pair_features."""
 
-    def _vectorized(self, fitted, degradation: str) -> Distinct:
-        config = fitted.config.with_options(
-            similarity_backend="vectorized", degradation=degradation
-        )
+    def _pipeline(self, fitted, degradation: str) -> Distinct:
+        config = fitted.config.with_options(degradation=degradation)
         return Distinct.from_models(
             fitted.db, fitted.resem_model_, fitted.walk_model_, config
         )
 
     def test_strict_propagates(self, fitted):
-        strict = self._vectorized(fitted, "strict")
+        strict = self._pipeline(fitted, "strict")
         with fault_plan(
             FaultPlan().fail_at("features.backend", exc=MemoryError("oom"))
         ):
@@ -248,8 +250,14 @@ class TestBackendMemoryError:
                 strict.resolve(NAMES[0])
 
     def test_fallback_yields_scalar_identical_results_and_counts(self, fitted):
-        scalar = fitted.resolve(NAMES[0])
-        fallback = self._vectorized(fitted, "fallback")
+        fast = fitted.resolve(NAMES[0])
+        builder = ProfileBuilder(
+            fitted.db,
+            fitted.paths_,
+            exclusions_for_name(fitted.db, NAMES[0], fitted.config),
+        )
+        scalar = reference_features(builder, fast.features.pairs)
+        fallback = self._pipeline(fitted, "fallback")
         degraded0 = _counter("resilience.degraded.features")
         pairs0 = _counter("resilience.degraded.pairs")
         with fault_plan(
@@ -258,17 +266,15 @@ class TestBackendMemoryError:
             resolution = fallback.resolve(NAMES[0])
         assert plan.triggered  # the fast route really was attempted
 
-        assert resolution.clusters == scalar.clusters
-        # Scalar-identical, not just tolerance-close: the fallback reran
-        # the reference path, so the arrays match exactly.
+        assert resolution.clusters == fast.clusters
+        # Identical to the reference route, not just tolerance-close: the
+        # fallback reran it, so the arrays match exactly.
         np.testing.assert_array_equal(
-            resolution.features.resemblance, scalar.features.resemblance
+            resolution.features.resemblance, scalar.resemblance
         )
-        np.testing.assert_array_equal(
-            resolution.features.walk, scalar.features.walk
-        )
+        np.testing.assert_array_equal(resolution.features.walk, scalar.walk)
         assert resolution.features.degraded
-        assert not scalar.features.degraded
+        assert not fast.features.degraded
         assert _counter("resilience.degraded.features") - degraded0 == 1
         n_pairs = len(resolution.features.pairs)
         assert _counter("resilience.degraded.pairs") - pairs0 == n_pairs
@@ -282,10 +288,10 @@ class TestBackendMemoryError:
         self, fitted, small_db, baseline
     ):
         """A degraded batch is not an error: even under policy=raise the
-        run completes, and scores match the scalar baseline exactly."""
+        run completes, and scores match the fast-route baseline exactly."""
         _, truth = small_db
         _, baseline_json = baseline
-        fallback = self._vectorized(fitted, "fallback")
+        fallback = self._pipeline(fitted, "fallback")
         with fault_plan(
             FaultPlan().fail_at("features.backend", times=-1, exc=MemoryError("oom"))
         ):

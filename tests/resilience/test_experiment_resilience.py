@@ -14,7 +14,7 @@ from repro.core.variants import variant_by_key
 from repro.errors import CheckpointError
 from repro.eval.persistence import experiment_result_to_dict
 from repro.eval.runner import experiment_checkpoint, run_resilient
-from repro.ml.calibration import calibrate_min_sim, calibration_checkpoint
+from repro.eval.calibration import calibrate_min_sim, calibration_checkpoint
 from repro.resilience import ErrorCollector, FaultInjected, FaultPlan, Deadline, fault_plan
 
 NAMES = ["Wei Wang", "Rakesh Kumar", "Jim Smith"]

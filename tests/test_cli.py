@@ -217,7 +217,7 @@ class TestObservabilityFlags:
         payload = load_trace(trace_path)
 
         (root,) = payload["spans"]
-        assert root["name"] == "resolve"
+        assert root["name"] == "cli.resolve"
         assert root["duration_s"] > 0
 
         def find(node, name):
@@ -229,10 +229,11 @@ class TestObservabilityFlags:
                     return found
             return None
 
-        # The trace covers profiles -> similarity -> clustering with
-        # per-stage wall times.
-        for stage in ("resolve.prepare", "resolve.profiles",
-                      "resolve.similarity", "resolve.cluster",
+        # The trace covers propagation -> blocking -> kernels ->
+        # clustering with per-stage wall times.
+        for stage in ("resolve.prepare", "resolve.similarity",
+                      "features.propagate", "features.blocking",
+                      "features.kernels", "resolve.cluster",
                       "cluster.agglomerative"):
             node = find(root, stage)
             assert node is not None, stage
@@ -240,9 +241,34 @@ class TestObservabilityFlags:
         assert find(root, "resolve.prepare")["attrs"]["name"] == "Rakesh Kumar"
 
         counters = payload["metrics"]["counters"]
-        for name in ("pairs.scored", "propagation.tuples_visited",
+        for name in ("pairs.scored", "propagation.batch.tuples",
                      "cluster.merges", "paths.enumerated"):
             assert counters[name] > 0, name
+
+    def test_traced_fit_reports_fit_once(self, world_dir, tmp_path):
+        # The CLI root is ``cli.fit``, so the pipeline's own ``fit`` span
+        # is not nested in a same-named root and counted twice.
+        from repro.obs.export import hot_spans, load_trace
+
+        trace_path = tmp_path / "fit-trace.json"
+        code = main(
+            [
+                "fit",
+                "--db", str(world_dir),
+                "--out", str(tmp_path / "models"),
+                "--positive", "40",
+                "--negative", "40",
+                "--svm-c", "10",
+                "--trace-out", str(trace_path),
+            ]
+        )
+        assert code == 0
+        payload = load_trace(trace_path)
+        (root,) = payload["spans"]
+        assert root["name"] == "cli.fit"
+        entries = {e["name"]: e for e in hot_spans(payload, top=100)}
+        assert entries["fit"]["count"] == 1
+        assert entries["fit"]["total_s"] <= root["duration_s"]
 
     def test_tracing_disabled_after_run(self, world_dir, model_dir, tmp_path):
         from repro.obs import tracing_enabled

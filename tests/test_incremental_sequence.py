@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.distinct import NameResolution
-from repro.core.incremental import extend_resolution
+from repro.ingest.greedy import extend_resolution
 
 
 class TestSequentialArrivals:
