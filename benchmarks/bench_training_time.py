@@ -5,8 +5,11 @@ Reports the phase breakdown of the session's fit (training-set
 construction, pair-feature computation, SVM training incl. the C search)
 and times the two cheap phases as kernels. Absolute numbers are not
 comparable (the paper timed a 2006 workstation against full DBLP; we run a
-scaled world), but the breakdown shows the same profile: feature
-computation dominates, SVM training itself is cheap.
+scaled world). Here the SVM phase is the largest: the pure-Python dual
+coordinate descent runs a cross-validated C grid (5 C x 3 folds x 2
+measures, fitted in lockstep) plus the two final fits, and many of those
+fits stop at their epoch cap (see ``docs/performance.md``, "The SVM
+stage").
 """
 
 import numpy as np

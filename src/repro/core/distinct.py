@@ -162,11 +162,17 @@ class Distinct:
 
             with timed("fit.svm") as sp_svm:
                 labels = np.asarray(training_set.labels(), dtype=float)
+                matrices = {
+                    "resemblance": features.resemblance,
+                    "walk": features.walk,
+                }
+                costs = self._select_costs(matrices, labels)
                 self.resem_model_, acc_resem = self._train_measure(
-                    "resemblance", features.resemblance, labels
+                    "resemblance", matrices["resemblance"], labels,
+                    costs["resemblance"],
                 )
                 self.walk_model_, acc_walk = self._train_measure(
-                    "walk", features.walk, labels
+                    "walk", matrices["walk"], labels, costs["walk"]
                 )
 
             self.training_set_ = training_set
@@ -225,7 +231,7 @@ class Distinct:
         )
 
     def _train_measure(
-        self, measure: str, X: np.ndarray, labels: np.ndarray
+        self, measure: str, X: np.ndarray, labels: np.ndarray, cost: float
     ) -> tuple[PathWeightModel, float]:
         """Train one per-measure SVM on *raw* features.
 
@@ -238,9 +244,6 @@ class Distinct:
         combined similarity with noise (see DESIGN.md §6).
         """
         assert self.paths_ is not None
-        cost = self.config.svm_C
-        if cost is None:
-            cost = self._select_cost(X, labels)
         svm = self._make_svm(cost).fit(X, labels)
         accuracy = svm.accuracy(X, labels)
         model = PathWeightModel(
@@ -268,22 +271,27 @@ class Distinct:
             retries=self.config.svm_retries,
         )
 
-    def _select_cost(self, X: np.ndarray, labels: np.ndarray) -> float:
-        """Pick C by k-fold cross-validated accuracy over the config grid."""
-        best_cost = self.config.svm_C_grid[0]
-        best_score = -1.0
-        for cost in self.config.svm_C_grid:
-            result = cross_validate(
-                lambda: self._make_svm(cost),
-                X,
-                labels,
-                k=self.config.svm_cv_folds,
-                seed=self.config.seed,
-            )
-            if result["accuracy_mean"] > best_score:
-                best_score = result["accuracy_mean"]
-                best_cost = cost
-        return best_cost
+    def _select_costs(
+        self, matrices: dict[str, np.ndarray], labels: np.ndarray
+    ) -> dict[str, float]:
+        """C per measure: the fixed ``svm_C``, or the grid member with the
+        best k-fold cross-validated accuracy (ties keep the earlier one).
+        Both measures' grids are fitted together by ``cross_validate``."""
+        if self.config.svm_C is not None:
+            return dict.fromkeys(matrices, self.config.svm_C)
+        grid = self.config.svm_C_grid
+        scores = cross_validate(
+            self._make_svm,
+            matrices,
+            labels,
+            grid,
+            k=self.config.svm_cv_folds,
+            seed=self.config.seed,
+        )
+        return {
+            name: grid[int(np.argmax([scores[name, cost] for cost in grid]))]
+            for name in matrices
+        }
 
     # -- resolution (§2 + §4) --------------------------------------------------
 

@@ -8,7 +8,7 @@ whose first and last tokens are both rare are assumed unique, pairs of their
 references are positives, and cross-name pairs are negatives.
 """
 
-from repro.ml.svm import LinearSVM
+from repro.ml.svm import LinearSVM, fit_grid
 from repro.ml.scaling import MaxAbsScaler, StandardScaler
 from repro.ml.model import PathWeightModel
 from repro.ml.trainingset import TrainingPair, TrainingSet, build_training_set
@@ -23,5 +23,6 @@ __all__ = [
     "TrainingSet",
     "build_training_set",
     "cross_validate",
+    "fit_grid",
     "classification_report",
 ]

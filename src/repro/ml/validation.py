@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
-from collections.abc import Callable
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.ml.svm import LinearSVM, fit_grid
 
 
 @dataclass
@@ -62,29 +64,35 @@ def kfold_indices(n: int, k: int, seed: int = 0) -> list[tuple[list[int], list[i
 
 
 def cross_validate(
-    model_factory: Callable[[], object],
-    X,
+    model_factory: Callable[[float], LinearSVM],
+    matrices: Mapping[str, np.ndarray],
     y,
+    costs: Sequence[float],
     k: int = 5,
     seed: int = 0,
-) -> dict[str, float]:
-    """Mean/std test accuracy (and mean F1) over k folds.
+) -> dict[tuple[str, float], float]:
+    """Mean k-fold test accuracy of ``model_factory(C)`` per (matrix, C).
 
-    ``model_factory`` returns a fresh estimator with ``fit`` and ``predict``.
+    ``matrices`` maps a name (e.g. a similarity measure) to its feature
+    matrix; all share the labels ``y`` and the folds. Every
+    name × C × fold problem is fitted in one :func:`fit_grid` call.
     """
-    X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    accuracies: list[float] = []
-    f1s: list[float] = []
-    for train, test in kfold_indices(len(y), k, seed):
-        model = model_factory()
-        model.fit(X[train], y[train])
-        report = classification_report(y[test], model.predict(X[test]))
-        accuracies.append(report.accuracy)
-        f1s.append(report.f1)
-    return {
-        "accuracy_mean": float(np.mean(accuracies)),
-        "accuracy_std": float(np.std(accuracies)),
-        "f1_mean": float(np.mean(f1s)),
-        "folds": float(k),
-    }
+    folds = kfold_indices(len(y), k, seed)
+    keys: list[tuple[str, float]] = []
+    models: list[LinearSVM] = []
+    train_sets: list[tuple[np.ndarray, np.ndarray]] = []
+    test_sets: list[tuple[np.ndarray, np.ndarray]] = []
+    for name, X in matrices.items():
+        X = np.asarray(X, dtype=float)
+        for cost in costs:
+            for train, test in folds:
+                keys.append((name, cost))
+                models.append(model_factory(cost))
+                train_sets.append((X[train], y[train]))
+                test_sets.append((X[test], y[test]))
+    fit_grid(models, train_sets)
+    accuracies: dict[tuple[str, float], list[float]] = {}
+    for key, model, (X_test, y_test) in zip(keys, models, test_sets):
+        accuracies.setdefault(key, []).append(model.accuracy(X_test, y_test))
+    return {key: float(np.mean(values)) for key, values in accuracies.items()}

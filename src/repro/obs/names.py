@@ -127,6 +127,7 @@ REGISTERED_METRICS: dict[str, str] = {
     "svm.convergence_retries": "counter",
     "svm.fits": "counter",
     "svm.iterations": "counter",
+    "svm.unconverged": "counter",
     # training-set construction (repro.ml.trainingset)
     "trainingset.pairs_built": "counter",
 }

@@ -135,6 +135,8 @@ class TestValidation:
             [rng.normal(2, 0.3, (30, 2)), rng.normal(-2, 0.3, (30, 2))]
         )
         y = np.array([1.0] * 30 + [-1.0] * 30)
-        result = cross_validate(lambda: LinearSVM(C=1.0), X, y, k=5)
-        assert result["accuracy_mean"] > 0.95
-        assert result["folds"] == 5
+        scores = cross_validate(
+            lambda cost: LinearSVM(C=cost), {"x": X}, y, (1.0, 10.0), k=5
+        )
+        assert set(scores) == {("x", 1.0), ("x", 10.0)}
+        assert min(scores.values()) > 0.95

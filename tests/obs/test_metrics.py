@@ -2,8 +2,10 @@
 
 import threading
 
+import numpy as np
 import pytest
 
+from repro.ml.svm import LinearSVM, fit_grid
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -200,3 +202,68 @@ class TestPipelineCounters:
         assert reg.counter("svm.iterations").value > 0
         assert reg.counter("paths.enumerated").value > 0
         assert reg.counter("trainingset.pairs_built").value > 0
+
+
+class TestSvmObservability:
+    """Fits report convergence in their span and the svm.* counters."""
+
+    @pytest.fixture
+    def tracer(self):
+        from repro.obs import disable_tracing, enable_tracing
+
+        yield enable_tracing()
+        disable_tracing()
+
+    @staticmethod
+    def problem(seed=0, n=24):
+        rng = np.random.default_rng(seed)
+        y = np.array([1.0, -1.0] * (n // 2))
+        X = y[:, None] * 0.8 + rng.normal(size=(n, 3))
+        return X, y
+
+    @staticmethod
+    def counts():
+        reg = get_metrics()
+        return {
+            name: reg.counter(name).value
+            for name in ("svm.fits", "svm.iterations", "svm.unconverged")
+        }
+
+    def delta(self, before):
+        return {k: v - before[k] for k, v in self.counts().items()}
+
+    def test_fit_span_records_convergence(self, tracer):
+        X, y = self.problem()
+        before = self.counts()
+        capped = LinearSVM(C=100.0, tol=1e-12, max_epochs=3, strict=False).fit(X, y)
+        done = LinearSVM(C=0.1, tol=1e-2, max_epochs=500).fit(X, y)
+        spans = [s for s in tracer.roots if s.name == "svm.fit"]
+        assert [s.attrs["converged"] for s in spans] == [False, True]
+        assert (capped.converged_, done.converged_) == (False, True)
+        assert spans[0].attrs["epochs"] == 3
+        assert self.delta(before) == {
+            "svm.fits": 2,
+            "svm.iterations": 3 + done.n_epochs_,
+            "svm.unconverged": 1,
+        }
+
+    def test_fit_grid_opens_one_span_and_counts_every_problem(self, tracer):
+        models, problems = [], []
+        for seed, (cost, epochs) in enumerate([(0.1, 500), (100.0, 2), (1.0, 500)]):
+            models.append(LinearSVM(C=cost, tol=1e-2, max_epochs=epochs, strict=False))
+            problems.append(self.problem(seed, n=24 + 2 * (seed % 2)))
+        before = self.counts()
+        fit_grid(models, problems)
+        (grid,) = [s for s in tracer.roots if s.name == "svm.fit_grid"]
+        assert not [s for s in tracer.roots if s.name == "svm.fit"]
+        epochs = [m.n_epochs_ for m in models]
+        unconverged = sum(not m.converged_ for m in models)
+        assert unconverged >= 1
+        assert grid.attrs == {
+            "problems": 3, "n": 26, "epochs": max(epochs), "unconverged": unconverged,
+        }
+        assert self.delta(before) == {
+            "svm.fits": 3,
+            "svm.iterations": sum(epochs),
+            "svm.unconverged": unconverged,
+        }

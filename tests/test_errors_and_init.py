@@ -95,6 +95,21 @@ class TestDocumentedRaises:
             svm.fit(X, y)
         assert svm.n_fit_attempts_ == 2  # bounded: initial fit + 1 retry
 
+    def test_svm_iterations_count_every_attempt(self):
+        from repro.ml.svm import LinearSVM
+        from repro.obs import get_metrics
+
+        X = np.array([[1.0, 0.0], [0.9, 0.1], [-1.0, 0.0], [-0.9, -0.1]])
+        y = np.array([1.0, 1.0, -1.0, -1.0])
+        iterations = get_metrics().counter("svm.iterations")
+        unconverged = get_metrics().counter("svm.unconverged")
+        before = (iterations.value, unconverged.value)
+        with pytest.raises(ConvergenceError):
+            LinearSVM(C=1e6, tol=1e-12, max_epochs=1, retries=1).fit(X, y)
+        # 1 epoch, then 2 on the retry; the failed fit counts once.
+        assert iterations.value - before[0] == 3
+        assert unconverged.value - before[1] == 1
+
     def test_unfitted_svm_raises_not_fitted_error(self):
         from repro.ml.svm import LinearSVM
 
