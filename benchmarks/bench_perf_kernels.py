@@ -458,7 +458,6 @@ def main(argv=None) -> int:
     )
     task_cost = serial_p / n_names
     inline = should_inline(n_names, args.workers, task_cost_hint=task_cost)
-    chunk_size = 1 if inline else max(1, n_names // (args.workers * 2))
     t0 = time.perf_counter()
     with span("bench.parallel_map", workers=args.workers, n_names=n_names):
         outcomes = list(
@@ -467,7 +466,6 @@ def main(argv=None) -> int:
                 payload,
                 list(range(n_names)),
                 workers=args.workers,
-                chunk_size=chunk_size,
                 inline=inline,
             )
         )
@@ -521,7 +519,6 @@ def main(argv=None) -> int:
             "parallel_seconds": parallel_p,
             "speedup": serial_p / parallel_p,
             "mode": "inline" if inline else "pool",
-            "chunk_size": chunk_size,
             "task_cost_seconds": task_cost,
             "results_identical": parallel_identical,
         },

@@ -81,8 +81,6 @@ DEFAULT_CONFIG_FLAG_MAP: dict[str, str] = {
     "n_negative": "--negative",
     "svm_C": "--svm-c",
     "min_sim": "--min-sim",
-    "shared_memory": "--shared-memory",
-    "shard_strategy": "--shard-strategy",
     "degradation": "--degradation",
 }
 
@@ -136,7 +134,6 @@ DEFAULT_TAINT_SINKS: tuple[str, ...] = (
 #: back; the parent would silently diverge from the serial run).
 DEFAULT_FORK_ENTRYPOINTS: tuple[str, ...] = (
     "repro.perf.parallel._run_task",
-    "repro.perf.parallel._run_chunk",
     "repro.perf.parallel._init_worker",
 )
 

@@ -162,22 +162,6 @@ def _add_perf_options(p: argparse.ArgumentParser, workers: bool = False) -> None
                  "in-process; results are identical for any N)",
         )
         group.add_argument(
-            "--shared-memory",
-            action="store_true",
-            default=None,
-            help="dispatch the worker payload through one read-only "
-                 "shared-memory segment instead of per-worker copies "
-                 "(zero-copy; results are unchanged)",
-        )
-        group.add_argument(
-            "--shard-strategy",
-            choices=("static", "cost"),
-            default=None,
-            help="how the parallel loop orders dispatch (default: the "
-                 "config's, static); cost dispatches cost-balanced shards "
-                 "heaviest-first so idle workers steal the stragglers",
-        )
-        group.add_argument(
             "--task-retries",
             type=int,
             default=DEFAULT_TASK_RETRIES,
@@ -562,12 +546,8 @@ def _apply_perf_overrides(config: DistinctConfig, args) -> DistinctConfig:
     """Apply the optional performance flags on top of ``config``.
 
     Uses ``getattr`` defaults because not every subcommand carries every
-    perf flag (e.g. the pool flags exist only where ``--workers`` does).
+    perf flag.
     """
-    if getattr(args, "shared_memory", None):
-        config = config.with_options(shared_memory=True)
-    if getattr(args, "shard_strategy", None):
-        config = config.with_options(shard_strategy=args.shard_strategy)
     if getattr(args, "degradation", None):
         config = config.with_options(degradation=args.degradation)
     return config

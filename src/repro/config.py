@@ -105,18 +105,6 @@ class DistinctConfig:
     # LRU bound on the per-name join-fanout memo used by propagation
     # (entries; 0 disables the memo).
     propagation_memo_size: int = 65536
-    # Dispatch the fork-primed worker payload through one shared-memory
-    # segment mapped read-only by every worker
-    # (:class:`repro.perf.shm.SharedPayload`) instead of relying on
-    # fork-inherited (or spawn-pickled) copies. Zero-copy: workers see
-    # the same physical pages; results are unchanged.
-    shared_memory: bool = False
-    # How the parallel per-name loop orders its dispatch
-    # (:mod:`repro.perf.sharding`): ``"static"`` keeps input-order
-    # chunks; ``"cost"`` dispatches cost-balanced shards (cost ≈ refs²
-    # per name) heaviest-first so idle workers steal the expensive
-    # stragglers early. Results are byte-identical either way.
-    shard_strategy: str = "static"
     # What to do when the fast pair-feature route fails at runtime — e.g.
     # a MemoryError on an oversized name or a SciPy sparse failure.
     # ``"strict"`` (default) propagates the error; ``"fallback"``

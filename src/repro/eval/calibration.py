@@ -31,7 +31,6 @@ from repro.paths.profiles import ProfileBuilder
 from repro.perf import (
     DEFAULT_TASK_RETRIES,
     RemoteTaskError,
-    SharedPayload,
     name_cost,
     ordered_process_map,
 )
@@ -264,29 +263,19 @@ def calibrate_min_sim(
         workers=workers,
     ):
         results_iter = None
-        payload_handle = None
         if workers > 1:
             pending = [
                 syn for syn in synthetic
                 if "+".join(syn.member_names) not in done
             ]
-            payload = (distinct, grid)
-            if distinct.config.shared_memory:
-                # One shared segment instead of per-worker payload copies
-                # (zero-copy numpy views; see repro.perf.shm).
-                payload = payload_handle = SharedPayload.wrap(payload)
-            costs = None
-            if distinct.config.shard_strategy == "cost":
-                costs = [name_cost(len(syn.rows)) for syn in pending]
             results_iter = ordered_process_map(
                 _calibrate_name_task,
-                payload,
+                (distinct, grid),
                 pending,
                 workers=workers,
                 deadline=deadline,
                 task_retries=task_retries,
-                costs=costs,
-                shard_strategy=distinct.config.shard_strategy,
+                costs=[name_cost(len(syn.rows)) for syn in pending],
             )
         try:
             for syn in synthetic:
@@ -346,11 +335,6 @@ def calibrate_min_sim(
                 # Cancels still-queued tasks when the loop exits early
                 # (deadline, raise policy); no-op after full consumption.
                 results_iter.close()
-            if payload_handle is not None:
-                # close() on a never-started generator skips its finally
-                # (a deadline can expire before the first next()), so the
-                # segment owner releases here too — exactly-once guarded.
-                payload_handle.release()
 
     if not per_name_f1:
         if interrupted:

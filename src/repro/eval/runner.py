@@ -16,11 +16,12 @@ payloads — name-preparation-level progress — not the (large, numpy-backed)
 pair features, so saving after every name is cheap.
 
 With ``workers > 1`` the per-name work fans out over a process pool
-(:func:`repro.perf.ordered_process_map`). Results are consumed in input
-order, worker failures re-enter the same ``guard`` the serial path uses
-(so policies behave identically), per-worker obs counters are merged into
-this process's registry, and checkpointing/resume is unchanged — the
-assembled :class:`~repro.eval.experiment.ExperimentResult` is byte-for-byte
+(:func:`repro.perf.ordered_process_map`), heaviest name (≈ refs²) first.
+Results are consumed in input order, worker failures re-enter the same
+``guard`` the serial path uses (so policies behave identically),
+per-worker obs counters are merged into this process's registry, and
+checkpointing/resume is unchanged — the assembled
+:class:`~repro.eval.experiment.ExperimentResult` is byte-for-byte
 identical to a single-worker run.
 """
 
@@ -30,7 +31,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.core.distinct import Distinct
-from repro.core.references import extract_references
+from repro.core.references import reference_counts_by_name
 from repro.core.variants import VariantSpec
 from repro.data.world import GroundTruth
 from repro.errors import DeadlineExceeded
@@ -40,7 +41,6 @@ from repro.obs import counter, get_logger, histogram, span
 from repro.perf import (
     DEFAULT_TASK_RETRIES,
     RemoteTaskError,
-    SharedPayload,
     name_cost,
     ordered_process_map,
 )
@@ -186,29 +186,20 @@ def run_resilient(
         workers=workers,
     ) as sp:
         results_iter = None
-        payload_handle = None
         if workers > 1:
             pending = [n for n in names if n not in done]
-            payload = (distinct, truth, variant, min_sim)
-            if distinct.config.shared_memory:
-                # One shared segment instead of per-worker payload copies
-                # (zero-copy numpy views; see repro.perf.shm).
-                payload = payload_handle = SharedPayload.wrap(payload)
-            costs = None
-            if distinct.config.shard_strategy == "cost":
-                costs = [
-                    name_cost(len(extract_references(distinct.db, n, distinct.config).rows))
-                    for n in pending
-                ]
+            # One pass over the object table, never raising: an unknown
+            # name costs 0 and fails inside its worker's guard, as it
+            # does serially.
+            refs = reference_counts_by_name(distinct.db, distinct.config)
             results_iter = ordered_process_map(
                 _score_name_task,
-                payload,
+                (distinct, truth, variant, min_sim),
                 pending,
                 workers=workers,
                 deadline=deadline,
                 task_retries=task_retries,
-                costs=costs,
-                shard_strategy=distinct.config.shard_strategy,
+                costs=[name_cost(refs.get(n, 0)) for n in pending],
             )
         try:
             for name in names:
@@ -273,11 +264,6 @@ def run_resilient(
                 # Cancels still-queued tasks when the loop exits early
                 # (deadline, raise policy); no-op after full consumption.
                 results_iter.close()
-            if payload_handle is not None:
-                # close() on a never-started generator skips its finally
-                # (a deadline can expire before the first next()), so the
-                # segment owner releases here too — exactly-once guarded.
-                payload_handle.release()
         sp.annotate(
             n_completed=outcome.n_completed,
             n_failed=len(collector),

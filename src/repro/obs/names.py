@@ -90,14 +90,8 @@ REGISTERED_METRICS: dict[str, str] = {
     "perf.parallel.tasks_ok": "counter",
     "perf.parallel.tasks_redispatched": "counter",
     "perf.parallel.worker_deaths": "counter",
-    # shard planning and work-stealing (repro.perf.sharding / .parallel)
-    "perf.shard.shards": "counter",
+    # futures harvested out of consumption order (repro.perf.parallel)
     "perf.shard.steals": "counter",
-    # shared-memory payload dispatch (repro.perf.shm)
-    "perf.shm.bytes_mapped": "counter",
-    "perf.shm.bytes_shared": "counter",
-    "perf.shm.segments": "counter",
-    "perf.shm.unlinks": "counter",
     # transition compilation (repro.perf.transitions)
     "perf.transitions.built": "counter",
     "perf.transitions.reused": "counter",

@@ -25,12 +25,12 @@ naive ``ProcessPoolExecutor.map`` loses, this module keeps:
 - **Worker-death recovery.** A worker killed mid-task (OOM killer,
   SIGKILL, segfault) breaks the whole ``ProcessPoolExecutor``; instead of
   propagating ``BrokenProcessPool``, the map respawns the pool and
-  re-dispatches the lost chunks, so one transient kill costs only the
-  lost work. Lost chunks re-run one at a time ("probation") before
-  normal dispatch resumes, which pins the blame precisely: a chunk that
-  breaks the pool while running *alone* is the killer. Each chunk may be
-  re-dispatched at most ``task_retries`` times; past that budget its
-  items are surfaced as ordinary ``TaskOutcome`` errors (``type:
+  re-dispatches the lost items, so one transient kill costs only the
+  lost work. Lost items re-run one at a time ("probation") before
+  normal dispatch resumes, which pins the blame precisely: an item that
+  breaks the pool while running *alone* is the killer. Each item may be
+  re-dispatched at most ``task_retries`` times; past that budget it is
+  surfaced as an ordinary ``TaskOutcome`` error (``type:
   "WorkerCrashed"``) so the caller's error policy decides, and the run
   never hangs. Pool deaths and re-dispatches are counted
   (``perf.parallel.worker_deaths`` / ``.tasks_redispatched``).
@@ -38,41 +38,25 @@ naive ``ProcessPoolExecutor.map`` loses, this module keeps:
   consuming results; remaining tasks are cancelled and reported as
   ``interrupted`` outcomes in order.
 
-Workers are primed once with a picklable ``payload`` via a pool
-initializer (under the default ``fork`` start method the payload is
-inherited, not pickled); each task then ships only its item. ``fn`` must
-be a module-level function taking ``(payload, item)``. A payload wrapped
-in a :class:`repro.perf.shm.PayloadHandle` (e.g.
-:class:`~repro.perf.shm.SharedPayload`, whose array buffers live in one
-shared-memory segment mapped read-only by every worker) is attached by
-the initializer and released — segment unlinked exactly once — in the
-map's outer ``finally``, which covers completion, deadline-cancelled
-tails, abandoned iterators, and the pool-respawn path (a respawned pool
-re-attaches the still-linked segment).
+The dispatch policy has no knobs. Workers are primed once with the
+``payload`` via a pool initializer; under ``fork`` (always picked where
+the platform has it) the payload is inherited, never pickled, and each
+task ships only its item. ``fn`` must be a module-level function taking
+``(payload, item)``. Every item is its own future. With per-item
+``costs`` (:func:`name_cost`, ≈ refs² per name) items are dispatched
+heaviest-first, ties in input order, so the expensive names start early
+and the cheap tail backfills idle workers; without ``costs`` they are
+dispatched in input order. Finished futures are harvested as they
+complete, whatever the consumer is blocked on (``perf.shard.steals``
+counts these out-of-order harvests), and assembly stays input-ordered,
+so results are byte-identical to a serial run either way. The pool never
+forks more workers than it has items left to run.
 
-Dispatch order is a *shard plan* (:func:`repro.perf.sharding.plan_shards`).
-The default ``"static"`` strategy reproduces consecutive
-``chunk_size`` chunks in input order; ``shard_strategy="cost"`` with
-per-item ``costs`` packs cost-balanced shards dispatched heaviest-first,
-and the pool's shared queue work-steals them: whichever worker goes idle
-pulls the next costliest shard. Completed shards are harvested as they
-finish, whatever the consumer is blocked on (``perf.shard.steals``
-counts the out-of-order harvests), and assembly stays input-ordered, so
-results are byte-identical to a serial run under every strategy.
-
-Two dispatch knobs trade pool overhead against parallelism without
-touching any of the guarantees above:
-
-- ``chunk_size`` batches that many items per worker dispatch (one future
-  per chunk instead of per item), amortizing submit/pickle/wakeup costs
-  when individual tasks are cheap. Outcomes are still per item, in input
-  order, with per-item counter deltas; the default of 1 keeps the
-  historical one-future-per-item behavior exactly.
-- ``inline=True`` skips the pool entirely and runs the same task wrapper
-  in-process — the escape hatch for workloads where a pool cannot win
-  (single-core hosts, tiny per-task cost). :func:`should_inline` is the
-  shared policy for that call: pools lose below ``min_task_cost``
-  seconds per task or without a second CPU to run on.
+``inline=True`` skips the pool entirely and runs the same task wrapper
+in-process — the escape hatch for workloads where a pool cannot win
+(single-core hosts, tiny per-task cost). :func:`should_inline` is the
+shared policy for that call: pools lose below ``min_task_cost`` seconds
+per task or without a second CPU to run on.
 """
 
 from __future__ import annotations
@@ -91,9 +75,6 @@ from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
-
-from repro.perf.shm import PayloadHandle
-from repro.perf.sharding import SHARD_STRATEGIES, plan_shards
 
 from repro.obs import (
     counter,
@@ -122,15 +103,15 @@ _SHARD_STEALS = counter("perf.shard.steals")
 #: and :func:`should_inline` recommends the in-process path.
 DEFAULT_MIN_TASK_COST = 0.05
 
-#: How many times one chunk may be re-dispatched after a pool break
+#: How many times one item may be re-dispatched after a pool break
 #: before its items are surfaced as ``WorkerCrashed`` errors. The default
 #: survives any single worker death and surfaces a task that kills its
 #: worker twice.
 DEFAULT_TASK_RETRIES = 1
 
 #: In-flight dispatch window, in multiples of the pool size. Bounding the
-#: window keeps workers saturated while limiting how many chunks a single
-#: pool break can take down (every in-flight chunk is lost with the pool).
+#: window keeps workers saturated while limiting how many items a single
+#: pool break can take down (every in-flight item is lost with the pool).
 _WINDOW_FACTOR = 2
 
 #: Worker-side payload installed by the pool initializer.
@@ -158,7 +139,7 @@ class TaskOutcome:
 
     ``seconds`` and ``worker_pid`` are telemetry, not results: they are
     excluded from equality so outcome lists stay comparable across
-    pool/chunked/inline runs whose timings necessarily differ.
+    pool/inline runs whose timings necessarily differ.
     """
 
     item: Any
@@ -181,10 +162,6 @@ class TaskOutcome:
 
 def _init_worker(payload: Any, trace: bool = False) -> None:
     global _PAYLOAD, _TRACE
-    if isinstance(payload, PayloadHandle):
-        # Zero-copy path: map the shared segment and rebuild the payload
-        # over read-only views into it (never pay the pickle per worker).
-        payload = payload.attach()
     # Designed per-worker divergence: the initializer primes each worker
     # with its own payload exactly so tasks never re-pickle it; nothing
     # here is read back by the parent.
@@ -235,16 +212,6 @@ def _run_task(fn: Callable[[Any, Any], Any], item: Any) -> tuple:
     return value, error, deltas, seconds, trace
 
 
-def _run_chunk(fn: Callable[[Any, Any], Any], chunk: list) -> list[tuple]:
-    """Worker-side wrapper for one dispatch of several items.
-
-    Each item still runs through :func:`_run_task`, so error capture and
-    counter-delta granularity are per item — batching only changes how
-    many items one future carries.
-    """
-    return [_run_task(fn, item) for item in chunk]
-
-
 def _pool_context() -> multiprocessing.context.BaseContext:
     """Prefer ``fork`` (payload inherited, not pickled) where available."""
     if "fork" in multiprocessing.get_all_start_methods():
@@ -275,17 +242,20 @@ def should_inline(
     return task_cost_hint is not None and task_cost_hint < min_task_cost
 
 
+def name_cost(n_refs: int) -> float:
+    """Per-name cost estimate: the all-pairs similarity stage is O(refs²)."""
+    return float(n_refs) * float(n_refs)
+
+
 def ordered_process_map(
     fn: Callable[[Any, Any], Any],
     payload: Any,
     items: Sequence[Any],
     workers: int,
     deadline=None,
-    chunk_size: int = 1,
     inline: bool = False,
     task_retries: int = DEFAULT_TASK_RETRIES,
     costs: Sequence[float] | None = None,
-    shard_strategy: str = "static",
 ) -> Iterator[TaskOutcome]:
     """Run ``fn(payload, item)`` for every item; yield outcomes in input order.
 
@@ -294,35 +264,20 @@ def ordered_process_map(
     pass ``inline=True``, typically via :func:`should_inline`).
     ``deadline`` is an optional :class:`repro.resilience.Deadline`; once
     expired, pending tasks are cancelled and yielded as ``interrupted``
-    outcomes. ``chunk_size`` batches that many items per worker dispatch
-    (outcomes stay per item); ``inline=True`` runs everything in-process
-    with identical outcome semantics. ``task_retries`` bounds how many
-    times one chunk is re-dispatched after a worker death before its
-    items are surfaced as ``WorkerCrashed`` errors (see module
-    docstring; 0 disables re-dispatch entirely).
-
-    ``shard_strategy`` + ``costs`` select the dispatch plan
-    (:func:`repro.perf.sharding.plan_shards`): ``"static"`` is the legacy
-    consecutive chunking, ``"cost"`` dispatches cost-balanced shards
-    heaviest-first so idle workers steal the expensive stragglers early.
-    Either way outcomes arrive in input order with identical values. A
-    ``payload`` wrapped in a :class:`repro.perf.shm.PayloadHandle` is
-    attached per worker and released here when the map winds down.
+    outcomes. ``inline=True`` runs everything in-process with identical
+    outcome semantics. ``task_retries`` bounds how many times one item is
+    re-dispatched after a worker death before it is surfaced as a
+    ``WorkerCrashed`` error (see module docstring; 0 disables re-dispatch
+    entirely). ``costs`` (one per item) dispatches heaviest-first; it
+    changes when each item runs, never what is yielded.
 
     Counter deltas from each task are merged into this process's registry
     as the task's outcome is yielded, so obs totals match a serial run.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
     if task_retries < 0:
         raise ValueError("task_retries must be >= 0")
-    if shard_strategy not in SHARD_STRATEGIES:
-        raise ValueError(
-            f"shard_strategy must be one of {SHARD_STRATEGIES}, "
-            f"got {shard_strategy!r}"
-        )
     items = list(items)
     if costs is not None and len(costs) != len(items):
         raise ValueError(
@@ -330,28 +285,14 @@ def ordered_process_map(
         )
     if inline:
         return _inline_map(fn, payload, items, deadline)
-    plan = plan_shards(
-        len(items),
-        chunk_size=chunk_size,
-        strategy=shard_strategy,
-        costs=list(costs) if costs is not None else None,
-    )
-    return _ordered_map(fn, payload, items, workers, deadline, task_retries, plan)
+    order = list(range(len(items)))
+    if costs is not None:
+        order.sort(key=lambda pos: (-costs[pos], pos))
+    return _ordered_map(fn, payload, items, workers, deadline, task_retries, order)
 
 
 def _inline_map(fn, payload, items, deadline) -> Iterator[TaskOutcome]:
     """The no-pool path: same outcomes, counters incremented in-process."""
-    handle = payload if isinstance(payload, PayloadHandle) else None
-    if handle is not None:
-        payload = handle.attach()
-    try:
-        yield from _inline_loop(fn, payload, items, deadline)
-    finally:
-        if handle is not None:
-            handle.release()
-
-
-def _inline_loop(fn, payload, items, deadline) -> Iterator[TaskOutcome]:
     interrupted = False
     for item in items:
         if not interrupted and deadline is not None and deadline.expired():
@@ -377,91 +318,86 @@ def _inline_loop(fn, payload, items, deadline) -> Iterator[TaskOutcome]:
         yield TaskOutcome(item=item, value=value, error=error, seconds=seconds)
 
 
-def _new_pool(payload, workers) -> ProcessPoolExecutor:
+def _new_pool(payload, workers: int, n_items: int) -> ProcessPoolExecutor:
+    # Under ``fork`` every worker is started eagerly, so never fork more
+    # copies of the parent than there are items left to run.
     return ProcessPoolExecutor(
-        max_workers=workers,
+        max_workers=max(1, min(workers, n_items)),
         mp_context=_pool_context(),
         initializer=_init_worker,
         initargs=(payload, tracing_enabled()),
     )
 
 
-def _crash_error(chunk: list, losses: int) -> dict:
-    items = ", ".join(repr(item) for item in chunk)
+def _crash_error(item: Any, losses: int) -> dict:
     return {
         "type": "WorkerCrashed",
         "message": (
             f"worker process died {losses} time(s) while this task was "
-            f"in flight; re-dispatch budget exhausted (items: {items})"
+            f"in flight; re-dispatch budget exhausted (item: {item!r})"
         ),
     }
 
 
 def _ordered_map(
-    fn, payload, items, workers, deadline, task_retries, plan
+    fn, payload, items, workers, deadline, task_retries, order
 ) -> Iterator[TaskOutcome]:
-    """The pool path: planned dispatch, ordered assembly, crash recovery.
+    """The pool path: ordered dispatch and assembly, crash recovery.
 
-    ``plan`` maps shard index -> input positions (dispatch order =
-    ``plan`` order, which may differ from input order under the cost
-    strategy). State per shard index: not yet submitted (``idx >=
-    next_submit`` and not lost), in flight (``futures``), harvested
-    (``results``), or surfaced as a crash error (``crashed``). Shards
-    lost to a pool break wait in ``probation`` and re-run one at a time
-    so a poisonous shard is blamed precisely instead of taking innocent
-    neighbors past their retry budget. Completed shards are harvested
+    ``order`` lists input positions in dispatch order. State per
+    position: not yet submitted, in flight (``futures``), harvested
+    (``results``), or surfaced as a crash error (``crashed``). Items lost
+    to a pool break wait in ``probation`` and re-run one at a time so a
+    poisonous item is blamed precisely instead of taking innocent
+    neighbors past their retry budget. Finished futures are harvested
     eagerly — whatever the consumer is blocked on — so out-of-order
-    completions free window slots immediately (the work-stealing half of
-    the cost strategy); the consuming loop still walks input positions
-    one by one.
+    completions free window slots immediately; the consuming loop still
+    walks input positions one by one.
     """
+    n = len(items)
+    if n == 0:
+        return
     registry = get_metrics()
-    chunks = [[items[pos] for pos in shard] for shard in plan]
-    n = len(chunks)
-    # input position -> (shard index, offset inside the shard)
-    locate: dict[int, tuple[int, int]] = {}
-    for s, shard in enumerate(plan):
-        for offset, pos in enumerate(shard):
-            locate[pos] = (s, offset)
-    window = max(workers * _WINDOW_FACTOR, 1)
+    window = workers * _WINDOW_FACTOR
     tracer = get_tracer()
     worker_ids: dict[int, int] = {}
 
-    pool = _new_pool(payload, workers)
+    pool = _new_pool(payload, workers, n)
     futures: dict[int, Future] = {}
-    results: dict[int, list[tuple]] = {}
-    consumed = [0] * n
+    results: dict[int, tuple] = {}
     crashed: dict[int, dict] = {}
     losses = [0] * n
     probation: set[int] = set()
     dispatched: set[int] = set()
     next_submit = 0
+    n_settled = 0  # positions harvested or crashed, whether consumed or not
 
-    def submit(idx: int) -> None:
-        if idx in dispatched:
-            _TASKS_REDISPATCHED.inc(len(chunks[idx]))
-        dispatched.add(idx)
-        futures[idx] = pool.submit(_run_chunk, fn, chunks[idx])
+    def submit(pos: int) -> None:
+        if pos in dispatched:
+            _TASKS_REDISPATCHED.inc()
+        dispatched.add(pos)
+        futures[pos] = pool.submit(_run_task, fn, items[pos])
 
     def fill_window() -> None:
         nonlocal next_submit
         if probation:
-            # One suspect at a time: the only shard allowed in flight is
+            # One suspect at a time: the only item allowed in flight is
             # the next lost one, so a repeat break has exactly one culprit.
             head = min(probation)
             if head not in futures and not futures:
                 submit(head)
             return
         while next_submit < n and len(futures) < window:
-            submit(next_submit)
+            submit(order[next_submit])
             next_submit += 1
 
-    def harvest(awaiting: int | None = None) -> bool:
+    def harvest(awaiting: int) -> bool:
         """Bank every finished future; True when the pool broke under one."""
+        nonlocal n_settled
         broke = False
-        # lint: allow[determinism/unkeyed-sort] shard indices are ints
-        for idx in sorted(futures):
-            future = futures[idx]
+        # lint: allow[determinism/unkeyed-sort] input positions are ints
+        for pos in sorted(futures):
+            future = futures[pos]
             if not future.done() or future.cancelled():
                 continue
             exc = future.exception()
@@ -470,78 +406,68 @@ def _ordered_map(
                     broke = True
                     continue
                 raise exc
-            results[idx] = future.result()
-            del futures[idx]
-            probation.discard(idx)
-            if awaiting is not None and idx != awaiting:
+            results[pos] = future.result()
+            n_settled += 1
+            del futures[pos]
+            probation.discard(pos)
+            if pos != awaiting:
                 _SHARD_STEALS.inc()
         return broke
 
     def handle_break() -> None:
-        nonlocal pool
+        nonlocal pool, n_settled
         _WORKER_DEATHS.inc()
         pool.shutdown(wait=False, cancel_futures=True)
-        # lint: allow[determinism/unkeyed-sort] shard indices are ints
-        for idx in sorted(futures):
-            future = futures[idx]
+        # lint: allow[determinism/unkeyed-sort] input positions are ints
+        for pos in sorted(futures):
+            future = futures[pos]
             if future.cancelled():
                 # Never ran (queued behind the break): requeue, no blame.
-                probation.add(idx)
+                probation.add(pos)
                 continue
             # Results delivered before the break are intact; keep them.
             if future.done() and future.exception() is None:
-                results[idx] = future.result()
-                probation.discard(idx)
+                results[pos] = future.result()
+                n_settled += 1
+                probation.discard(pos)
                 continue
-            losses[idx] += 1
-            if losses[idx] > task_retries:
-                crashed[idx] = _crash_error(chunks[idx], losses[idx])
-                probation.discard(idx)
+            losses[pos] += 1
+            if losses[pos] > task_retries:
+                crashed[pos] = _crash_error(items[pos], losses[pos])
+                n_settled += 1
+                probation.discard(pos)
             else:
-                probation.add(idx)
+                probation.add(pos)
         futures.clear()
-        pool = _new_pool(payload, workers)
+        pool = _new_pool(payload, workers, n - n_settled)
 
     interrupted = False
     try:
         for pos, item in enumerate(items):
-            sidx, offset = locate[pos]
-            # Deadline checks happen at shard entry, matching the legacy
-            # chunk-boundary granularity: a shard whose results are being
-            # consumed finishes yielding before an expiry is noticed.
-            if (
-                not interrupted
-                and offset == 0
-                and deadline is not None
-                and deadline.expired()
-            ):
+            if not interrupted and deadline is not None and deadline.expired():
                 interrupted = True
-            while (
-                not interrupted
-                and sidx not in results
-                and sidx not in crashed
-            ):
+            while not interrupted and pos not in results and pos not in crashed:
                 try:
-                    if harvest(awaiting=sidx):
+                    if harvest(awaiting=pos):
                         handle_break()
                         continue
                     fill_window()
-                    if sidx in results or sidx in crashed:
+                    if pos in results or pos in crashed:
                         break
                     remaining = (
                         deadline.remaining() if deadline is not None else None
                     )
                     timeout = None if remaining is None else max(0.0, remaining)
-                    target = futures.get(sidx)
+                    target = futures.get(pos)
                     if target is not None:
                         target.result(timeout=timeout)
                     else:
-                        # Needed shard queued behind probation or window:
+                        # Needed item queued behind probation or window:
                         # wait for anything in flight, then re-harvest.
                         pending = list(futures.values())
                         if not pending:
                             raise RuntimeError(
-                                f"ordered map stalled: shard {sidx} is "
+                                f"ordered map stalled: item {pos} is "
                                 "neither in flight nor finished"
                             )
                         wait(pending, timeout=timeout,
@@ -559,15 +485,12 @@ def _ordered_map(
                 _TASKS_INTERRUPTED.inc()
                 yield TaskOutcome(item=item, interrupted=True)
                 continue
-            if sidx in crashed:
+            if pos in crashed:
                 _TASKS_FAILED.inc()
-                yield TaskOutcome(item=item, error=dict(crashed[sidx]))
+                yield TaskOutcome(item=item, error=crashed.pop(pos))
                 continue
-            value, error, deltas, seconds, trace = results[sidx][offset]
-            results[sidx][offset] = None  # free task payloads eagerly
-            consumed[sidx] += 1
-            if consumed[sidx] == len(plan[sidx]):
-                del results[sidx]
+            # pop frees the task's payload as soon as it is yielded
+            value, error, deltas, seconds, trace = results.pop(pos)
             for name, delta in deltas.items():
                 registry.counter(name).inc(delta)
             _TASK_SECONDS.observe(seconds)
@@ -588,10 +511,6 @@ def _ordered_map(
         # Also reached when the consumer abandons the iterator early:
         # cancel queued tasks so pool teardown doesn't run them all.
         pool.shutdown(wait=True, cancel_futures=True)
-        if isinstance(payload, PayloadHandle):
-            # Exactly-once segment teardown, whatever path got us here
-            # (completion, deadline tail, abandonment, pool respawns).
-            payload.release()
 
 
 def _graft_trace(trace: dict, tracer, worker_ids: dict[int, int]) -> None:
@@ -609,5 +528,3 @@ def _graft_trace(trace: dict, tracer, worker_ids: dict[int, int]) -> None:
         sp.attrs["worker_pid"] = pid
         tracer.graft(sp)
         _SPANS_GRAFTED.inc()
-
-

@@ -8,18 +8,15 @@ may only change wall-clock time, never a single byte of the
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 import pytest
 
 from repro.core.variants import variant_by_key
-from repro.errors import DeadlineExceeded
 from repro.eval.persistence import experiment_result_to_dict
 from repro.eval.runner import run_resilient
 from repro.eval.calibration import calibrate_min_sim
 from repro.obs import disable_tracing, enable_tracing
-from repro.perf import SharedPayload, active_segments
-from repro.resilience import Deadline, ErrorCollector, FaultPlan, fault_plan
+from repro.resilience import ErrorCollector, FaultPlan, fault_plan
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +40,37 @@ class TestParallelExperiment:
         assert _result_bytes(serial) == _result_bytes(parallel)
         assert not parallel.interrupted
         assert parallel.complete
+
+    def test_workers_2_byte_identical_to_serial(self, fitted, small_db, names):
+        _, truth = small_db
+        variant = variant_by_key("distinct")
+        min_sim = fitted.config.min_sim
+        serial = run_resilient(fitted, truth, names, variant, min_sim)
+        parallel = run_resilient(
+            fitted, truth, names, variant, min_sim, workers=2
+        )
+        assert _result_bytes(serial) == _result_bytes(parallel)
+
+    def test_unknown_name_is_collected_like_serial(self, fitted, small_db, names):
+        """Dispatch costs are computed in the parent; an unknown name must
+        still fail inside its worker's guard, exactly as it does serially,
+        instead of escaping ``policy="collect"``."""
+        _, truth = small_db
+        variant = variant_by_key("distinct")
+        min_sim = fitted.config.min_sim
+        with_unknown = [names[0], "No Such Author", *names[1:]]
+        runs = {}
+        for workers in (1, 2):
+            collector = ErrorCollector()
+            outcome = run_resilient(
+                fitted, truth, with_unknown, variant, min_sim,
+                policy="collect", collector=collector, workers=workers,
+            )
+            assert collector.items() == ["No Such Author"]
+            assert [r.name for r in outcome.result.names] == names
+            assert outcome.complete
+            runs[workers] = _result_bytes(outcome)
+        assert runs[1] == runs[2]
 
     def test_worker_failure_follows_skip_policy(self, fitted, small_db, names):
         _, truth = small_db
@@ -121,41 +149,3 @@ class TestParallelCalibration:
         assert serial.f1_by_min_sim == parallel.f1_by_min_sim
         assert serial.best_min_sim == parallel.best_min_sim
         assert parallel.n_scored == serial.n_scored
-
-    def test_deadline_tail_releases_shared_payload(self, fitted, monkeypatch):
-        """Regression: a deadline expiring before the first result is
-        consumed leaves the parallel map's generator never-started, so
-        closing it skips its ``finally`` — calibrate's own finally must
-        release the shm segment it wrapped, or the segment leaks."""
-        monkeypatch.setattr(
-            fitted, "config", replace(fitted.config, shared_memory=True)
-        )
-        handles = []
-        real_wrap = SharedPayload.wrap.__func__
-
-        def spying_wrap(cls, payload):
-            handle = real_wrap(cls, payload)
-            handles.append(handle)
-            return handle
-
-        monkeypatch.setattr(
-            SharedPayload, "wrap", classmethod(spying_wrap)
-        )
-        ticks = [0.0]
-
-        def clock():
-            ticks[0] += 5.0
-            return ticks[0]
-
-        with pytest.raises(DeadlineExceeded):
-            calibrate_min_sim(
-                fitted,
-                n_names=2,
-                members=2,
-                seed=5,
-                workers=2,
-                deadline=Deadline(1.0, clock=clock),
-            )
-        # The wrap really happened, and its segment is gone again.
-        assert len(handles) == 1
-        assert handles[0].segment_name not in active_segments()

@@ -9,16 +9,27 @@ from __future__ import annotations
 import os
 import signal
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from repro.obs import counter, disable_tracing, enable_tracing, get_metrics, span
-from repro.perf import RemoteTaskError, TaskOutcome, ordered_process_map, should_inline
+from repro.perf import (
+    RemoteTaskError,
+    TaskOutcome,
+    name_cost,
+    ordered_process_map,
+    should_inline,
+)
 from repro.resilience import Deadline
 
 
 def _scale(payload, item):
     return payload * item
+
+
+def _square(payload, item):
+    return item * item
 
 
 def _fail_on_three(payload, item):
@@ -175,66 +186,94 @@ class TestWorkerDeathRecovery:
         assert outcomes[0].error["type"] == "WorkerCrashed"
         assert "died 1 time(s)" in outcomes[0].error["message"]
 
-    def test_chunked_dispatch_survives_death(self, tmp_path):
-        items = list(range(8))
-        latch = tmp_path / "latch"
-        outcomes = list(
-            ordered_process_map(
-                _kill_worker_once, str(latch), items, workers=2, chunk_size=3
-            )
-        )
-        assert all(o.ok for o in outcomes)
-        assert [o.value for o in outcomes] == [i * 10 for i in items]
-
-    def test_chunked_repeat_killer_blames_whole_chunk(self):
-        outcomes = list(
-            ordered_process_map(
-                _kill_worker_always, None, [1, 2, 3, 4], workers=2,
-                chunk_size=2, task_retries=1,
-            )
-        )
-        by_item = {o.item: o for o in outcomes}
-        # The killer's chunk-mate shares its fate (they die together);
-        # the other chunk completes.
-        assert by_item[1].ok and by_item[2].ok
-        assert by_item[3].error["type"] == "WorkerCrashed"
-        assert by_item[4].error["type"] == "WorkerCrashed"
-
     def test_rejects_negative_task_retries(self):
         with pytest.raises(ValueError):
             ordered_process_map(_scale, 1, [1], workers=1, task_retries=-1)
 
 
-class TestChunkedDispatch:
-    @pytest.mark.parametrize("chunk_size", [2, 3, 100])
-    def test_chunked_outcomes_identical_to_unchunked(self, chunk_size):
-        items = [5, 1, 4, 2, 3]
-        plain = list(ordered_process_map(_scale, 10, items, workers=2))
-        chunked = list(
-            ordered_process_map(_scale, 10, items, workers=2, chunk_size=chunk_size)
-        )
-        assert chunked == plain
+class TestDispatchOrder:
+    """Costs change when each item runs, never what is returned."""
 
-    def test_chunked_errors_stay_per_item(self):
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        """Record every pool's size and every submitted item, in order."""
+        record = {"sizes": [], "submitted": []}
+
+        class SpyPool(ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                record["sizes"].append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+            def submit(self, fn, /, *args, **kwargs):
+                record["submitted"].append(args[1])
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr("repro.perf.parallel.ProcessPoolExecutor", SpyPool)
+        return record
+
+    def test_heaviest_first_outcomes_in_input_order(self, spy):
+        items = [10, 11, 12, 13, 14, 15]
+        costs = [1.0, 9.0, 4.0, 9.0, 0.0, 25.0]
+        outcomes = list(
+            ordered_process_map(_scale, 2, items, workers=2, costs=costs)
+        )
+        # Heaviest first; equal costs keep their input order.
+        assert spy["submitted"] == [15, 11, 13, 12, 10, 14]
+        assert [o.item for o in outcomes] == items
+        assert [o.value for o in outcomes] == [2 * i for i in items]
+
+    def test_without_costs_dispatch_is_input_order(self, spy):
+        items = [5, 1, 4, 2, 3]
+        list(ordered_process_map(_scale, 10, items, workers=2))
+        assert spy["submitted"] == items
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_cost_order_is_byte_identical_to_serial(self, workers):
+        items = list(range(30))
+        costs = [name_cost((i * 13) % 9 + 1) for i in items]
+        plain = [
+            (t.item, t.value)
+            for t in ordered_process_map(_square, None, items, workers=workers)
+        ]
+        heaviest_first = [
+            (t.item, t.value)
+            for t in ordered_process_map(
+                _square, None, items, workers=workers, costs=costs
+            )
+        ]
+        inline = [
+            (t.item, t.value)
+            for t in ordered_process_map(
+                _square, None, items, workers=1, inline=True
+            )
+        ]
+        assert plain == heaviest_first == inline
+
+    def test_costs_must_match_items(self):
+        with pytest.raises(ValueError, match="one entry per item"):
+            ordered_process_map(_square, None, [1, 2], workers=2, costs=[1.0])
+
+    def test_name_cost_is_quadratic_in_refs(self):
+        assert name_cost(0) == 0.0
+        assert name_cost(3) == 9.0
+        assert name_cost(10) == 4 * name_cost(5)
+
+    def test_pool_never_larger_than_its_items(self, spy, tmp_path):
+        outcomes = list(ordered_process_map(_scale, 1, [1, 2], workers=4))
+        assert [o.value for o in outcomes] == [1, 2]
+        assert spy["sizes"] == [2]
+        # A respawn after a worker death sizes to the items still open.
+        spy["sizes"].clear()
+        items = [1, 2, 3]
         outcomes = list(
             ordered_process_map(
-                _fail_on_three, None, [1, 3, 2], workers=2, chunk_size=3
+                _kill_worker_once, str(tmp_path / "latch"), items, workers=4
             )
         )
-        assert [o.ok for o in outcomes] == [True, False, True]
-        assert outcomes[1].error["type"] == "RuntimeError"
-
-    def test_chunked_counter_deltas_merge(self):
-        before = get_metrics().counter("perf.test.bumps").value
-        list(
-            ordered_process_map(_bump_counter, None, [2, 3, 5], workers=2, chunk_size=2)
-        )
-        after = get_metrics().counter("perf.test.bumps").value
-        assert after - before == pytest.approx(10)
-
-    def test_rejects_nonpositive_chunk_size(self):
-        with pytest.raises(ValueError):
-            ordered_process_map(_scale, 1, [1], workers=1, chunk_size=0)
+        assert [o.value for o in outcomes] == [10, 20, 30]
+        assert spy["sizes"][0] == 3
+        assert len(spy["sizes"]) == 2
+        assert all(size <= len(items) for size in spy["sizes"])
 
 
 class TestInlineDispatch:

@@ -1,8 +1,7 @@
-"""Safety nets: no fault plan — and no shm segment — leaks between tests."""
+"""Safety net: no fault plan leaks between tests."""
 
 import pytest
 
-from repro.perf import active_segments
 from repro.resilience import clear_fault_plan
 
 
@@ -10,10 +9,3 @@ from repro.resilience import clear_fault_plan
 def _no_leaked_fault_plan():
     yield
     clear_fault_plan()
-
-
-@pytest.fixture(autouse=True)
-def _no_leaked_shm_segments():
-    """Every scenario — kills, deadlines, aborts — must unlink its segment."""
-    yield
-    assert active_segments() == [], "leaked shared-memory segment(s)"

@@ -302,87 +302,67 @@ class TestBackendMemoryError:
         assert _result_json(outcome.result) == baseline_json
 
 
-class TestSharedMemoryCrash:
-    """Fault: SIGKILL under shared-memory dispatch. Site: payload lifecycle.
+class TestDefaultDispatchCrash:
+    """Fault: SIGKILL and deadlines under the default dispatch policy.
 
-    The respawned pool must re-attach the still-linked segment, results
-    must stay byte-identical, and the segment must be unlinked exactly
-    once when the map winds down — the autouse ``_no_leaked_shm_segments``
-    fixture in conftest.py enforces the latter after every scenario here.
+    Site: the pool itself — fork-inherited payload, heaviest-first order.
+    A respawned pool must inherit the payload again, results must stay
+    byte-identical, and a deadline anywhere in the run must still come
+    back as ``interrupted``.
     """
 
-    def _shared(self, fitted) -> Distinct:
-        config = fitted.config.with_options(
-            shared_memory=True, shard_strategy="cost"
-        )
-        return Distinct.from_models(
-            fitted.db, fitted.resem_model_, fitted.walk_model_, config
-        )
-
-    def test_clean_shared_run_matches_baseline(self, fitted, small_db, baseline):
+    def test_clean_run_matches_baseline(self, fitted, small_db, baseline):
         _, truth = small_db
         _, baseline_json = baseline
         outcome = run_resilient(
-            self._shared(fitted), truth, NAMES, VARIANT, MIN_SIM, workers=WORKERS
+            fitted, truth, NAMES, VARIANT, MIN_SIM, workers=WORKERS
         )
         assert outcome.complete and not outcome.errors
         assert _result_json(outcome.result) == baseline_json
 
-    def test_one_death_respawns_reattaches_and_unlinks_once(
+    def test_one_death_respawns_byte_identical(
         self, fitted, small_db, tmp_path, baseline
     ):
         _, truth = small_db
         _, baseline_json = baseline
-        unlinks0 = _counter("perf.shm.unlinks")
         deaths0 = _counter("perf.parallel.worker_deaths")
         plan = FaultPlan().kill_at(
             "profile", item=NAMES[1], once_path=tmp_path / "latch"
         )
         with fault_plan(plan):
             outcome = run_resilient(
-                self._shared(fitted), truth, NAMES, VARIANT, MIN_SIM,
-                workers=WORKERS,
+                fitted, truth, NAMES, VARIANT, MIN_SIM, workers=WORKERS
             )
         assert outcome.complete and not outcome.errors
         assert _result_json(outcome.result) == baseline_json
         assert _counter("perf.parallel.worker_deaths") - deaths0 == 1
-        assert _counter("perf.shm.unlinks") - unlinks0 == 1
-        _report("shm_worker_sigkill_once", {
+        _report("default_dispatch_worker_sigkill_once", {
             "workers": WORKERS,
             "byte_identical": True,
-            "unlinks": 1,
         })
 
-    def test_deadline_tail_still_unlinks(self, fitted, small_db):
+    def test_deadline_tail_still_interrupts(self, fitted, small_db):
         _, truth = small_db
-        unlinks0 = _counter("perf.shm.unlinks")
         ticks = iter([0.0, 0.5] + [100.0] * 100)
         outcome = run_resilient(
-            self._shared(fitted), truth, NAMES, VARIANT, MIN_SIM,
-            workers=WORKERS,
+            fitted, truth, NAMES, VARIANT, MIN_SIM, workers=WORKERS,
             deadline=Deadline(1.0, clock=lambda: next(ticks)),
         )
         assert outcome.interrupted
-        assert _counter("perf.shm.unlinks") - unlinks0 == 1
 
-    def test_deadline_before_first_dispatch_still_unlinks(
+    def test_deadline_before_first_dispatch(
         self, fitted, small_db
     ):
         # Expiry before the first next() means the map generator never
-        # starts, so its finally never runs — the runner itself must
-        # release the segment (generator.close() on an unstarted
-        # generator is a no-op).
+        # starts, so no pool is ever forked.
         _, truth = small_db
-        unlinks0 = _counter("perf.shm.unlinks")
         ticks = iter([0.0] + [100.0] * 100)
         outcome = run_resilient(
-            self._shared(fitted), truth, NAMES, VARIANT, MIN_SIM,
-            workers=WORKERS,
+            fitted, truth, NAMES, VARIANT, MIN_SIM, workers=WORKERS,
             deadline=Deadline(1.0, clock=lambda: next(ticks)),
         )
         assert outcome.interrupted
         assert outcome.n_completed == 0
-        assert _counter("perf.shm.unlinks") - unlinks0 == 1
 
 
 class TestDeadlineCheckpoint:

@@ -326,6 +326,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    @pytest.mark.parametrize(
+        "flag", [["--shared-memory"], ["--shard-strategy", "cost"]]
+    )
+    def test_removed_dispatch_flags_are_usage_errors(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--db", "db", "--models", "m",
+                  "--truth", "t.json", "--workers", "2", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestResilienceFlags:
     """--on-error / --resume / --deadline on the long-running commands."""

@@ -34,6 +34,14 @@ class TestDistinctConfig:
         with pytest.raises(TypeError):
             DistinctConfig().with_options(nonsense=1)
 
+    @pytest.mark.parametrize(
+        "removed", [{"shared_memory": True}, {"shard_strategy": "cost"}]
+    )
+    def test_removed_dispatch_knobs_rejected(self, removed):
+        # The per-name pool has one dispatch policy; these knobs are gone.
+        with pytest.raises(TypeError):
+            DistinctConfig(**removed)
+
     def test_path_budgets(self):
         assert default_path_config().max_hops == 5
         assert deep_path_config().max_hops == 7
