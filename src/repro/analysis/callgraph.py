@@ -18,7 +18,7 @@ are simply absent — callers that need them (the fork-boundary rule's
 from the call sites.
 
 Functions are keyed by dotted *qualnames*:
-``repro.perf.parallel._run_task``, ``repro.perf.memo.FanoutMemo.get``.
+``repro.perf.parallel._run_task``, ``repro.perf.transitions.TransitionCache.get``.
 """
 
 from __future__ import annotations
@@ -97,8 +97,8 @@ class _ModuleScope:
     """Name-resolution context of one module."""
 
     module: str
-    #: local name -> fully qualified target ("repro.perf.memo.FanoutMemo"
-    #: for from-imports of objects, "repro.perf.memo" for module imports)
+    #: local name -> fully qualified target ("repro.perf.transitions.Transition"
+    #: for from-imports of objects, "repro.perf.transitions" for module imports)
     imports: dict[str, str] = field(default_factory=dict)
     #: names defined at module top level (functions, classes)
     toplevel: dict[str, str] = field(default_factory=dict)  # name -> qualname

@@ -164,28 +164,13 @@ class ResourceSpec:
     #: module-level calls that release every live handle of this kind
     #: (singleton resources like the installed tracer)
     release_calls: tuple[str, ...] = ()
-    #: keyword args (name -> literal value) the acquire call must carry
-    require_kwargs: tuple[tuple[str, object], ...] = ()
 
 
 #: Resource contracts for the flow-aware lifecycle family: how each
 #: tracked resource is acquired and what counts as releasing it. Acquire
-#: patterns match the dotted tail of the call (``SharedPayload.wrap``
-#: matches ``shm.SharedPayload.wrap(...)``); ``require_kwargs`` gates the
-#: match on literal keyword values (``SharedMemory(create=True)`` is an
-#: acquire, attaching with ``create=False`` is not).
+#: patterns match the dotted tail of the call (``ProcessPoolExecutor``
+#: matches ``futures.ProcessPoolExecutor(...)``).
 DEFAULT_LIFECYCLE_RESOURCES: tuple[ResourceSpec, ...] = (
-    ResourceSpec(
-        kind="shared-payload",
-        acquire=("SharedPayload.wrap",),
-        release_methods=("release",),
-    ),
-    ResourceSpec(
-        kind="shm-segment",
-        acquire=("SharedMemory", "shared_memory.SharedMemory"),
-        release_methods=("unlink",),
-        require_kwargs=(("create", True),),
-    ),
     ResourceSpec(
         kind="process-pool",
         acquire=("ProcessPoolExecutor",),
@@ -219,7 +204,6 @@ DEFAULT_CONFIG_PROGRAMMATIC: tuple[str, ...] = (
     "svm_retries",
     "clamp_negative_weights",
     "normalize_weights",
-    "propagation_memo_size",
     "seed",
 )
 

@@ -1,11 +1,11 @@
 """lifecycle/*: path-sensitive acquire/release checking over CFGs.
 
-The perf layer's resources are unmanaged by design — shm segments must
-outlive ``with`` blocks, pools are shut down from generator ``finally``
-clauses — so nothing but discipline guarantees that every acquire
-reaches its release on *every* path, including the exception edges and
-the deadline-tail path where a never-started generator's ``finally`` is
-skipped. This family machine-checks that discipline:
+The perf layer's resources are unmanaged by design — pools are shut
+down from generator ``finally`` clauses, the tracer is installed and
+removed around a run — so nothing but discipline guarantees that every
+acquire reaches its release on *every* path, including the exception
+edges and the deadline-tail path where a never-started generator's
+``finally`` is skipped. This family machine-checks that discipline:
 
 - ``lifecycle/leak`` (error) — a typestate analysis over each function's
   CFG (:mod:`repro.analysis.cfg` + :mod:`repro.analysis.dataflow`).
@@ -15,13 +15,11 @@ skipped. This family machine-checks that discipline:
   owning structure — on every path reaching the function's normal and
   exceptional exits. Passing a handle to a registered *borrower*
   (``ordered_process_map``) is not an escape: the caller keeps
-  release responsibility (the exact contract behind the guarded
-  ``payload_handle.release()`` in repro.eval.runner). ``None`` guards
-  are understood: on the ``x is None`` branch, sites ``x`` could have
-  held are treated as never-acquired — the guarded-release idiom — which
-  trades a sliver of soundness (an alias kept live after ``x = None``
-  would be missed) for zero false positives on the project's canonical
-  pattern.
+  release responsibility. ``None`` guards are understood: on the
+  ``x is None`` branch, sites ``x`` could have held are treated as
+  never-acquired — the guarded-release idiom — which trades a sliver of
+  soundness (an alias kept live after ``x = None`` would be missed) for
+  zero false positives on the project's canonical pattern.
 
 - ``lifecycle/fsync-before-rename`` (error) — in any function that opens
   a file for writing, every ``os.replace`` must have an ``os.fsync`` on
@@ -100,20 +98,6 @@ def _own_exprs(stmt: ast.AST) -> list[ast.expr]:
     ]
 
 
-def _kwargs_ok(call: ast.Call, spec: ResourceSpec) -> bool:
-    for key, expected in spec.require_kwargs:
-        for kw in call.keywords:
-            if (
-                kw.arg == key
-                and isinstance(kw.value, ast.Constant)
-                and kw.value.value == expected
-            ):
-                break
-        else:
-            return False
-    return True
-
-
 def _match_acquire(
     expr: ast.expr,
     specs: tuple[ResourceSpec, ...],
@@ -127,7 +111,7 @@ def _match_acquire(
         return None
     for spec in specs:
         for pattern in spec.acquire:
-            if tail_matches(name, pattern) and _kwargs_ok(expr, spec):
+            if tail_matches(name, pattern):
                 return spec
     return extra.get(name.rsplit(".", 1)[-1])
 

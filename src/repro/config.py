@@ -101,10 +101,7 @@ class DistinctConfig:
 
     # performance (see docs/performance.md). Pair features always run
     # batched propagation, exact blocking and the matrix pair kernels
-    # (:mod:`repro.core.features`); only the fanout memo is tunable.
-    # LRU bound on the per-name join-fanout memo used by propagation
-    # (entries; 0 disables the memo).
-    propagation_memo_size: int = 65536
+    # (:mod:`repro.core.features`).
     # What to do when the fast pair-feature route fails at runtime — e.g.
     # a MemoryError on an oversized name or a SciPy sparse failure.
     # ``"strict"`` (default) propagates the error; ``"fallback"``

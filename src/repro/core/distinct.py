@@ -217,7 +217,6 @@ class Distinct:
                     self.db,
                     self.paths_,
                     exclusions_for_name(self.db, name, self.config),
-                    memo_size=self.config.propagation_memo_size,
                 )
             return builders[name]
 
@@ -334,7 +333,6 @@ class Distinct:
                 self.db,
                 self.paths_,
                 exclusions_for_name(self.db, name, self.config),
-                memo_size=self.config.propagation_memo_size,
             )
             pairs = all_pairs(refs.rows)
             with span("resolve.similarity", name=name, n_pairs=len(pairs)) as sim_span:

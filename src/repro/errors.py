@@ -72,7 +72,7 @@ class StaleCacheError(ReproError):
     """An epoch-pinned cache was read at a different ``db.epoch`` than it
     was built (or last advanced) at.
 
-    Raised by the fanout memo and transition cache instead of silently
+    Raised by :class:`repro.perf.TransitionCache` instead of silently
     serving rows compiled against a database state that a
     :func:`repro.reldb.apply_delta` has since extended. Callers must run
     the cache's ``advance()`` (invalidate rows whose partner lists

@@ -143,7 +143,6 @@ def prepare_synthetic(distinct: Distinct, synthetic: SyntheticName) -> NamePrepa
         distinct.db,
         distinct.paths_,
         {config.object_relation: frozenset(excluded_rows)},
-        memo_size=config.propagation_memo_size,
     )
     features = compute_pair_features(
         builder, all_pairs(synthetic.rows), degradation=config.degradation

@@ -11,10 +11,8 @@ directions: forward mass splits use the forward partner lists, and the
 backward DP's denominators count reverse partners
 (:mod:`repro.paths.propagation`).
 
-The output feeds three consumers, all epoch-advance operations:
+The output feeds two consumers, both epoch-advance operations:
 
-- :meth:`repro.perf.memo.FanoutMemo.advance` drops exactly the cached
-  fanouts of affected rows;
 - :meth:`repro.perf.transitions.TransitionCache.advance` decompiles
   exactly the affected rows of each compiled transition;
 - :func:`repro.perf.blocking.touched_row_mask` intersects the affected

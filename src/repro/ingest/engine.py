@@ -7,7 +7,7 @@ produces *plus* the state needed to invalidate it precisely:
 - the reference rows, pair features, combined pair matrices, and the
   :class:`~repro.cluster.agglomerative.ClusteringResult`;
 - a persistent :class:`~repro.paths.profiles.ProfileBuilder` whose
-  fanout memo and transition cache are epoch-pinned;
+  transition cache is epoch-pinned;
 - the per-relation *visited traces* (boolean reference × relation-row
   patterns) of every forward propagation level.
 
@@ -15,9 +15,8 @@ Applying a :class:`~repro.reldb.Delta` then walks the invalidation
 ladder instead of recomputing the world:
 
 1. **dirty rows** — :func:`repro.ingest.dirty.affected_rows` finds the
-   existing rows whose partner lists grew; the memo and transition
-   caches :meth:`advance` past them (everything else is reused
-   verbatim);
+   existing rows whose partner lists grew; the transition caches
+   :meth:`advance` past them (everything else is reused verbatim);
 2. **dirty references** — a reference is dirty iff its visited trace
    intersects the affected rows (:func:`repro.perf.blocking
    .touched_row_mask`) or it is new; clean references provably kept
@@ -235,7 +234,6 @@ class IngestEngine:
             self.db,
             distinct.paths_,
             exclusions_for_name(self.db, name, distinct.config),
-            memo_size=distinct.config.propagation_memo_size,
             transition_cache=TransitionCache(epoch=self.db.epoch),
         )
 
@@ -320,11 +318,9 @@ class IngestEngine:
         affected: dict[str, set[int]],
         sizes: dict[str, int],
     ) -> None:
-        builder = state.builder
-        if builder.memo is not None:
-            builder.memo.advance(applied.epoch, affected)
-        if builder.transition_cache is not None:
-            builder.transition_cache.advance(applied.epoch, affected, sizes)
+        cache = state.builder.transition_cache
+        if cache is not None:
+            cache.advance(applied.epoch, affected, sizes)
 
     def _plan(self, state: _NameState, affected: dict[str, set[int]]) -> _RefreshPlan:
         refs = extract_references(self.db, state.name, self.distinct.config)

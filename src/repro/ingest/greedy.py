@@ -71,7 +71,6 @@ def extend_resolution(
         distinct.db,
         distinct.paths_,
         exclusions_for_name(distinct.db, resolution.name, config),
-        memo_size=config.propagation_memo_size,
         transition_cache=TransitionCache(epoch=distinct.db.epoch),
     )
 

@@ -73,12 +73,7 @@ REGISTERED_METRICS: dict[str, str] = {
     "pairs.scored": "counter",
     # path enumeration (repro.paths.enumerate)
     "paths.enumerated": "counter",
-    # fanout memo (repro.perf.memo)
-    "perf.fanout.evictions": "counter",
-    "perf.fanout.hits": "counter",
-    "perf.fanout.misses": "counter",
-    "perf.fanout.size": "gauge",
-    # epoch-advance invalidation (repro.perf.memo / .transitions)
+    # epoch-advance invalidation (repro.perf.transitions)
     "perf.ingest.rows_dirty": "counter",
     "perf.ingest.rows_reused": "counter",
     # process-pool map (repro.perf.parallel)

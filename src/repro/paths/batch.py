@@ -50,6 +50,7 @@ weights exist only for forward-reached neighbors).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy import sparse
@@ -134,21 +135,17 @@ class _BatchContext:
         """Partner-list closure for one step, shared with the scalar engine.
 
         Routing through :meth:`PropagationEngine._partners` keeps the
-        exclusion filtering and the :class:`~repro.perf.memo.FanoutMemo`
-        identical across backends.
+        exclusion filtering identical across backends.
         """
         fanout = self._fanouts.get(step)
         if fanout is None:
-            engine = self.engine
             src_table = self.db.table(step.src_relation)
             src_pos = src_table.schema.position(step.src_attribute)
             dst_index = self.db.index(step.dst_relation, step.dst_attribute)
-            excluded = engine.exclusions.get(step.dst_relation, _EMPTY_SET)
-
-            def fanout(row_id: int, _ctx=(engine, src_table, src_pos, dst_index, excluded)):
-                eng, table, pos, index, excl = _ctx
-                return eng._partners(step, table, pos, index, excl, row_id)
-
+            excluded = self.engine.exclusions.get(step.dst_relation, _EMPTY_SET)
+            fanout = partial(
+                PropagationEngine._partners, src_table, src_pos, dst_index, excluded
+            )
             self._fanouts[step] = fanout
         return fanout
 

@@ -80,31 +80,16 @@ class ProfileBuilder:
         paths: list[JoinPath],
         exclusions: Exclusions | None = None,
         exclude_origin: bool = True,
-        memo_size: int | None = None,
-        memo=None,
         transition_cache=None,
     ) -> None:
-        """``memo_size`` > 0 equips the engine with an LRU-bounded
-        :class:`~repro.perf.FanoutMemo` of that many per-tuple fanouts,
-        shared by all of this builder's references (see
-        :mod:`repro.paths.propagation`; results are identical either way).
-        A caller-owned ``memo`` takes precedence over ``memo_size``;
-        fresh memos are pinned to the database's current epoch so a
-        delta applied behind the builder's back raises instead of
-        serving stale fanouts. ``transition_cache`` (optional, a
+        """``transition_cache`` (optional, a
         :class:`~repro.perf.transitions.TransitionCache`) persists the
         batched backend's compiled steps across :meth:`matrices_for`
         calls — delta ingest advances it per epoch.
         """
-        from repro.perf.memo import FanoutMemo
-
-        if memo is None and memo_size:
-            memo = FanoutMemo(memo_size, epoch=getattr(db, "epoch", None))
         self.db = db
         self.paths = list(paths)
-        self.engine = PropagationEngine(
-            db, exclusions, exclude_origin=exclude_origin, memo=memo
-        )
+        self.engine = PropagationEngine(db, exclusions, exclude_origin=exclude_origin)
         self.transition_cache = transition_cache
         self._cache: dict[tuple[JoinPath, int], NeighborProfile] = {}
 
@@ -152,7 +137,7 @@ class ProfileBuilder:
         value-equivalent to stacking :meth:`profiles_for` outputs but
         computed as a handful of SpMM products instead of per-reference
         dict walks. Bypasses the per-reference profile cache (the batch
-        is the unit of work); the engine's fanout memo is still shared.
+        is the unit of work).
         """
         from repro.paths.batch import batch_profile_matrices
 
@@ -172,11 +157,6 @@ class ProfileBuilder:
         for key in stale:
             del self._cache[key]
         return len(stale)
-
-    @property
-    def memo(self):
-        """The engine's fanout memo (None when the builder has none)."""
-        return self.engine.memo
 
     @property
     def cache_size(self) -> int:

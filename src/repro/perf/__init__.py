@@ -1,13 +1,11 @@
-"""Performance layer: memoization, chunking, and parallel execution.
+"""Performance layer: compiled transitions, blocking, chunking, and
+parallel execution.
 
 The DISTINCT pipeline's cost is dominated by three hot loops — probability
 propagation along join paths (§2.2), all-pairs similarity (§2.3–2.4), and
 the agglomerative merge loop (§4.1). This package holds the shared
 machinery that accelerates them without changing results:
 
-- :mod:`repro.perf.memo` — the LRU-bounded join-fanout memo that lets
-  prefix-shared propagation reuse per-tuple mass splits across the
-  references of one name;
 - :mod:`repro.perf.chunking` — pair-list slicing by gathered nonzeros,
   so the pair kernels and the blocking mask bound peak memory;
 - :mod:`repro.perf.parallel` — a ``ProcessPoolExecutor``-backed ordered
@@ -39,7 +37,6 @@ from repro.perf.blocking import (
     touched_row_mask,
 )
 from repro.perf.chunking import chunk_slices, pair_slices
-from repro.perf.memo import FanoutMemo
 from repro.perf.parallel import (
     DEFAULT_TASK_RETRIES,
     RemoteTaskError,
@@ -52,7 +49,6 @@ from repro.perf.transitions import Transition, TransitionCache, build_transition
 
 __all__ = [
     "DEFAULT_TASK_RETRIES",
-    "FanoutMemo",
     "RemoteTaskError",
     "TaskOutcome",
     "Transition",

@@ -13,8 +13,8 @@ with the *reverse* step's normalization.
 This module is generic (it never touches the database): callers supply
 the partner list of each source row via a ``fanout`` callable — in the
 pipeline that is :meth:`PropagationEngine._partners`, so exclusion
-filtering and the :class:`~repro.perf.memo.FanoutMemo` are shared with
-the scalar engine and both backends see byte-identical partner lists.
+filtering is shared with the scalar engine and both backends see
+byte-identical partner lists.
 Per-origin exclusion (the origin tuple is not an intermediate stop) is
 deliberately *not* baked in here; :mod:`repro.paths.batch` applies it as
 a sparse per-reference correction on top of these origin-free matrices.
@@ -158,8 +158,7 @@ class TransitionCache:
     fetched and compiled, and the delta is added onto the stored matrix
     (row sets are disjoint, so the sum is a plain union). One cache per
     batched propagation run — entries bake in that run's exclusions via
-    the ``fanout`` callable, exactly like :class:`~repro.perf.memo
-    .FanoutMemo` entries bake in an engine's exclusions.
+    the ``fanout`` callable.
 
     ``epoch`` pins the cache to a database epoch (None = unpinned).
     A pinned cache that outlives an :func:`repro.reldb.apply_delta` must

@@ -19,9 +19,9 @@ class Database:
 
     ``epoch`` is a monotonically increasing batch counter: it starts at 0
     and is bumped once per :func:`repro.reldb.delta.apply_delta` batch.
-    Caches that compile against the row set (fanout memo, transition
-    cache) pin the epoch they were built at and refuse stale reads, so a
-    delta can never be silently ignored.
+    Caches that compile against the row set (the transition cache) pin
+    the epoch they were built at and refuse stale reads, so a delta can
+    never be silently ignored.
     """
 
     def __init__(self, schema: Schema) -> None:

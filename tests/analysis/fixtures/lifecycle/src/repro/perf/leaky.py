@@ -1,11 +1,11 @@
-"""Fixture: the deadline-tail shm leak, reconstructed buggy and fixed."""
+"""Fixture: a process pool left running on the deadline-tail path, buggy and fixed."""
 
 
 def calibrate_buggy(distinct, grid, items, workers):
-    payload = (distinct, grid)
+    pool = None
     if workers > 1:
-        payload = SharedPayload.wrap(payload)
-    results = ordered_process_map(task, payload, items)
+        pool = ProcessPoolExecutor(max_workers=workers)
+    results = ordered_process_map(task, (distinct, grid), items, pool)
     try:
         for item in results:
             consume(item)
@@ -14,18 +14,17 @@ def calibrate_buggy(distinct, grid, items, workers):
 
 
 def calibrate_fixed(distinct, grid, items, workers):
-    payload = (distinct, grid)
-    handle = None
+    pool = None
     if workers > 1:
-        payload = handle = SharedPayload.wrap(payload)
-    results = ordered_process_map(task, payload, items)
+        pool = ProcessPoolExecutor(max_workers=workers)
+    results = ordered_process_map(task, (distinct, grid), items, pool)
     try:
         for item in results:
             consume(item)
     finally:
         results.close()
-        if handle is not None:
-            handle.release()
+        if pool is not None:
+            pool.shutdown()
 
 
 def pool_returned(workers):

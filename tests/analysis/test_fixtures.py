@@ -68,10 +68,11 @@ EXACT_CASES = [
             ),
         },
     ),
-    # The lifecycle fixture reconstructs the real deadline-tail shm leak:
-    # calibrate_buggy wraps a payload and releases on no path, while
-    # calibrate_fixed (the guarded-release idiom the rule's hint
-    # prescribes) and the returned-pool handoff must stay clean.
+    # The lifecycle fixture reconstructs a deadline-tail leak:
+    # calibrate_buggy lends a pool to ordered_process_map and shuts it
+    # down on no path, while calibrate_fixed (the guarded-release idiom
+    # the rule's hint prescribes) and the returned-pool handoff must
+    # stay clean.
     (
         "lifecycle",
         ["lifecycle/leak", "lifecycle/fsync-before-rename"],

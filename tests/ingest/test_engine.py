@@ -17,6 +17,8 @@ from repro.core.distinct import Distinct
 from repro.data.deltas import grow_world, split_world
 from repro.errors import ReproError
 from repro.ingest import IngestEngine
+from repro.obs import counter
+from repro.perf.transitions import TransitionCache
 from repro.reldb.delta import Delta
 
 from tests.kernel_oracle import reference_route
@@ -117,6 +119,33 @@ class TestEpochSequencing:
             got = report.resolution(name)
             assert got.rows == before[name].rows
             assert got.resem_matrix.tobytes() == before[name].resem_matrix.tobytes()
+
+
+class TestIngestRowCounters:
+    def test_counters_equal_transition_cache_advances(self, warm, monkeypatch):
+        # perf.ingest.rows_dirty / rows_reused count compiled transition
+        # source rows only: over one apply their deltas equal the summed
+        # TransitionCache.advance returns across the tracked names.
+        distinct, split = warm
+        engine = IngestEngine(distinct, min_sim=MIN_SIM)
+        for name in NAMES:
+            engine.resolve(name)
+        returns = []
+        advance = TransitionCache.advance
+
+        def recording_advance(cache, *args, **kwargs):
+            result = advance(cache, *args, **kwargs)
+            returns.append(result)
+            return result
+
+        monkeypatch.setattr(TransitionCache, "advance", recording_advance)
+        dirty = counter("perf.ingest.rows_dirty")
+        reused = counter("perf.ingest.rows_reused")
+        dirty_before, reused_before = dirty.value, reused.value
+        engine.apply(split.delta)
+        assert len(returns) == len(NAMES)
+        assert dirty.value - dirty_before == sum(d for _, d in returns) > 0
+        assert reused.value - reused_before == sum(r for r, _ in returns) > 0
 
 
 class TestReportSurface:

@@ -16,7 +16,7 @@ def populated_registry() -> MetricsRegistry:
     reg = MetricsRegistry()
     reg.counter("pairs.scored").inc(630)
     reg.counter("cluster.merges").inc(35)
-    reg.gauge("perf.fanout.size").set(17)
+    reg.gauge("cluster.heap.size").set(17)
     hist = reg.histogram("resolve.seconds", buckets=(0.1, 1.0, 10.0))
     for v in (0.05, 0.5, 0.5, 5.0, 50.0):
         hist.observe(v)
@@ -42,8 +42,8 @@ class TestRender:
 
     def test_gauge_exposed_bare(self):
         text = render_openmetrics(registry=populated_registry())
-        assert "# TYPE repro_perf_fanout_size gauge" in text
-        assert "repro_perf_fanout_size 17" in text
+        assert "# TYPE repro_cluster_heap_size gauge" in text
+        assert "repro_cluster_heap_size 17" in text
 
     def test_histogram_buckets_cumulative_with_inf(self):
         text = render_openmetrics(registry=populated_registry())
@@ -78,7 +78,7 @@ class TestRoundTrip:
         back = parse_openmetrics(render_openmetrics(registry=reg))
         assert back["counters"]["repro_pairs_scored"] == 630
         assert back["counters"]["repro_cluster_merges"] == 35
-        assert back["gauges"]["repro_perf_fanout_size"] == 17
+        assert back["gauges"]["repro_cluster_heap_size"] == 17
 
     def test_histogram_survives_decumulated(self):
         reg = populated_registry()

@@ -13,7 +13,6 @@ import pytest
 from repro.paths import JoinPath, ProfileBuilder, PropagationEngine
 from repro.paths.batch import batch_profile_matrices
 from repro.paths.propagation import make_exclusions
-from repro.perf.memo import FanoutMemo
 from repro.reldb.joins import JoinStep
 
 from tests.minidb import WW_AUTHOR_ROW, WW_REFS, build_minidb
@@ -60,12 +59,6 @@ class TestBatchMatchesScalar:
         assert_matches_scalar(
             PropagationEngine(build_minidb(), EXCLUSIONS, exclude_origin=False)
         )
-
-    def test_with_fanout_memo(self):
-        engine = PropagationEngine(
-            build_minidb(), EXCLUSIONS, memo=FanoutMemo(max_entries=1024)
-        )
-        assert_matches_scalar(engine)
 
     def test_single_reference_batch(self):
         assert_matches_scalar(

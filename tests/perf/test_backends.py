@@ -1,12 +1,10 @@
-"""The fast pair-feature route vs the reference route, and memoized
-propagation.
+"""The fast pair-feature route vs the reference route.
 
 Uses the hand-built mini DBLP database so expectations stay checkable:
 the default route (batched propagation, exact blocking, matrix kernels)
 must agree with the per-reference reference route on every (pair, path)
-feature, blocking must drop exactly the pairs the reference route scores
-zero on every path, and a memo-equipped builder must produce
-float-identical profiles.
+feature, and blocking must drop exactly the pairs the reference route
+scores zero on every path.
 """
 
 from __future__ import annotations
@@ -31,12 +29,9 @@ PATHS = [
 ]
 
 
-def _builder(memo_size=None):
+def _builder():
     return ProfileBuilder(
-        build_minidb(),
-        PATHS,
-        make_exclusions(Authors={WW_AUTHOR_ROW}),
-        memo_size=memo_size,
+        build_minidb(), PATHS, make_exclusions(Authors={WW_AUTHOR_ROW})
     )
 
 
@@ -107,15 +102,6 @@ class TestPropagationBackends:
         assert not got.resemblance[zero].any() and not got.walk[zero].any()
         _assert_close(got, reference)
 
-    def test_batched_with_memo_matches(self):
-        pairs = all_pairs(WW_REFS)
-        plain = compute_pair_features(_builder(), pairs)
-        memoized = compute_pair_features(_builder(memo_size=1024), pairs)
-        np.testing.assert_allclose(
-            plain.resemblance, memoized.resemblance, rtol=0, atol=1e-12
-        )
-        np.testing.assert_allclose(plain.walk, memoized.walk, rtol=0, atol=1e-12)
-
     def test_empty_pairs_batched(self):
         features = compute_pair_features(_builder(), [])
         assert features.n_pairs == 0
@@ -125,25 +111,3 @@ class TestPropagationBackends:
             with pytest.raises(TypeError, match=knob):
                 compute_pair_features(_builder(), [], **{knob: "batched"})
 
-
-class TestMemoizedPropagation:
-    def test_profiles_identical_with_and_without_memo(self):
-        plain = _builder()
-        memoized = _builder(memo_size=1024)
-        for row in WW_REFS:
-            by_path_plain = plain.profiles_for(row)
-            by_path_memo = memoized.profiles_for(row)
-            for path in PATHS:
-                # Float-identical, not approximately equal: the memo only
-                # caches partner lists, never reorders accumulation.
-                assert by_path_plain[path].weights == by_path_memo[path].weights
-
-    def test_memo_bound_of_one_still_correct(self):
-        plain = _builder()
-        tiny = _builder(memo_size=1)  # constant thrash, same results
-        for row in WW_REFS:
-            for path in PATHS:
-                assert (
-                    plain.profiles_for(row)[path].weights
-                    == tiny.profiles_for(row)[path].weights
-                )

@@ -1,9 +1,9 @@
 """Epoch pinning: stale caches refuse to serve, advance() re-pins.
 
 Regression tests for the delta-ingest invalidation contract: an
-epoch-pinned :class:`FanoutMemo` / :class:`TransitionCache` raises
-:class:`StaleCacheError` when read at a ``db.epoch`` other than the one
-it was built (or last advanced) at, and ``advance()`` drops exactly the
+epoch-pinned :class:`TransitionCache` raises :class:`StaleCacheError`
+when read at a ``db.epoch`` other than the one it was built (or last
+advanced) at, and ``advance()`` drops exactly the
 dirty rows while keeping every clean compiled row byte-identical.
 """
 
@@ -14,53 +14,10 @@ import pytest
 from scipy import sparse
 
 from repro.errors import StaleCacheError
-from repro.perf import FanoutMemo
 from repro.perf.transitions import TransitionCache
 from repro.reldb.joins import JoinStep
 
 STEP = JoinStep("Publish", "author_key", "Authors", "author_key", "n1")
-OTHER = JoinStep("Publish", "paper_id", "Publications", "paper_id", "n1")
-
-
-class TestFanoutMemoEpoch:
-    def test_unpinned_memo_never_raises(self):
-        memo = FanoutMemo(4)
-        memo.check_epoch(0)
-        memo.check_epoch(7)
-
-    def test_pinned_memo_accepts_its_own_epoch(self):
-        memo = FanoutMemo(4, epoch=3)
-        memo.check_epoch(3)
-
-    def test_stale_read_raises(self):
-        memo = FanoutMemo(4, epoch=3)
-        with pytest.raises(StaleCacheError) as err:
-            memo.check_epoch(4)
-        assert "FanoutMemo" in str(err.value)
-        assert "3" in str(err.value) and "4" in str(err.value)
-
-    def test_advance_repins_and_drops_dirty_rows(self):
-        memo = FanoutMemo(8, epoch=1)
-        memo.put((STEP, 0), (10, 11))
-        memo.put((STEP, 1), (12,))
-        memo.put((OTHER, 0), (20,))
-        memo.advance(2, {"Publish": [0]})
-        memo.check_epoch(2)
-        # Both (step, 0) entries are dirty — the memo keys by the step's
-        # src_relation, and both steps leave Publish.
-        assert memo.get((STEP, 0)) is None
-        assert memo.get((OTHER, 0)) is None
-        assert memo.get((STEP, 1)) == (12,)
-
-    def test_advance_drops_uninterpretable_keys(self):
-        # A key that does not carry a (step, src_row) shape cannot be
-        # matched against dirty rows: conservatively invalidated.
-        memo = FanoutMemo(8, epoch=1)
-        memo.put("opaque", (1, 2))
-        memo.put((STEP, 1), (3,))
-        memo.advance(2, {})
-        assert memo.get("opaque") is None
-        assert memo.get((STEP, 1)) == (3,)
 
 
 def _fanout_from(matrix: dict[int, list[int]]):

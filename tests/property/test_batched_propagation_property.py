@@ -1,8 +1,8 @@
 """Property test: batched SpMM propagation == scalar engine on random DBs.
 
 Random three-level chain databases (the same generator family as the trie
-equivalence suite), random global exclusions, memo on and off — the
-batched backend must reproduce every scalar profile to 1e-12.
+equivalence suite), random global exclusions, origin exclusion on and
+off — the batched backend must reproduce every scalar profile to 1e-12.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.paths import JoinPath, PropagationEngine
 from repro.paths.batch import batch_profile_matrices
-from repro.perf.memo import FanoutMemo
 from repro.reldb import Attribute, Database, ForeignKey, RelationSchema, Schema
 from repro.reldb.joins import steps_for_foreign_key
 
@@ -87,12 +86,6 @@ class TestBatchedPropagationProperty:
         mid = excl_seed % len(db.table("Mid"))
         excl = {"Mid": frozenset({mid}), "Refs": frozenset({0})}
         assert_equivalent(PropagationEngine(db, excl), db)
-
-    @given(chain_database())
-    @settings(max_examples=30, deadline=None)
-    def test_with_memo(self, db):
-        engine = PropagationEngine(db, memo=FanoutMemo(max_entries=64))
-        assert_equivalent(engine, db)
 
     @given(chain_database())
     @settings(max_examples=30, deadline=None)

@@ -35,10 +35,16 @@ class TestDistinctConfig:
             DistinctConfig().with_options(nonsense=1)
 
     @pytest.mark.parametrize(
-        "removed", [{"shared_memory": True}, {"shard_strategy": "cost"}]
+        "removed",
+        [
+            {"shared_memory": True},
+            {"shard_strategy": "cost"},
+            {"propagation_memo_size": 0},
+        ],
     )
     def test_removed_dispatch_knobs_rejected(self, removed):
-        # The per-name pool has one dispatch policy; these knobs are gone.
+        # The per-name pool has one dispatch policy and propagation reads
+        # partner lists straight from the index; these knobs are gone.
         with pytest.raises(TypeError):
             DistinctConfig(**removed)
 
